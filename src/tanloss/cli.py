@@ -2,16 +2,8 @@
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config error,
 3 data error.  TANLOSS_THREADS caps BLAS worker threads when set before
-launch.
+launch (see the package's __init__).
 """
-
-import os
-
-_threads = os.environ.get("TANLOSS_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import csv
@@ -259,7 +251,7 @@ def cmd_predict(args) -> int:
                         verb_label=np.zeros(len(verb_vocab)),
                         state_label=np.zeros(len(state_vocab)))
         batch = pad_batch([sample], pad_index=text_vocab.pad_index)
-        verb_pred, state_pred, _ = forward(ckpt.params, batch)
+        verb_pred, state_pred = forward(ckpt.params, batch)[:2]
         print(json.dumps({
             "tokens": tokens,
             "verbs": sorted(verb_vocab.tokens[i] for i in binarize(verb_pred[0], args.threshold)),

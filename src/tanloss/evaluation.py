@@ -58,7 +58,8 @@ def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
         raise ValueError("cannot evaluate an empty test set")
     flags: list[tuple[bool, bool]] = []
     for batch in make_batches(test_set, batch_size, seed=0, pad_index=pad_index, shuffle=False):
-        verb_pred, state_pred, _ = forward(params, batch)
+        # [:2] drops the trace now, not when the next batch's forward returns.
+        verb_pred, state_pred = forward(params, batch)[:2]
         for r in range(len(batch)):
             verb_ok = one_missing_match(
                 binarize(verb_pred[r], threshold),

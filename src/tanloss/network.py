@@ -4,19 +4,33 @@ hand-written reverse-mode gradients.
 Conventions fixed here and relied on by the test suite:
   * GRU update: z = sig(W_z x + U_z h + b_z), r = sig(W_r x + U_r h + b_r),
     hc = tanh(W_h x + U_h (r*h) + b_h), h' = (1-z)*h + z*hc.
+  * Each GRU layer stores its gates fused: one W (3n x in), one U (3n x n)
+    and one b (3n), with row blocks in [z; r; h] order.  W_z ... b_h are
+    row-block views into these arrays, never copies, so writing through a
+    view changes the model.  Gradients come back in the same layout.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
-  * Sequences are unrolled for exactly their true length; padded steps leave
-    the hidden state untouched bit for bit, so outputs cannot depend on
-    padding.
+  * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
+    each step updates only the rows whose sequence is still running: rows
+    are ordered by decreasing length, so the running rows of step t are a
+    prefix of k_t rows.  A finished row keeps its state bit for bit, so
+    outputs and gradients cannot depend on padding.
+  * Work is laid out layer by layer over the "packed" steps (step-major, the
+    k_t running rows of each step, sum(lengths) rows in all): layer 1 runs
+    over every step, then layer 2's input projections for all steps are one
+    GEMM.  Backward sweeps layer 2, turns its gate deltas into layer 1's
+    input gradient with one GEMM, sweeps layer 1, and forms each weight
+    gradient after its sweep as one GEMM over all packed steps.
   * The one-hot input is never materialized: input-to-hidden products select
-    a column of W, and their gradients scatter into the same columns.
+    a column of W, and their gradients are summed per token.
 
 Everything is float64 so finite-difference gradient checks are meaningful.
 """
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,17 +41,25 @@ from .losses import tangent_loss, tangent_loss_grad
 CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
 
+GATES = "zrh"
+# Per-gate parameter names of a GRU layer, in checkpoint order.
+GRU_NAMES = tuple(f"{kind}_{gate}" for kind in "WUb" for gate in GATES)
+HEAD_NAMES = ("W1", "b1", "W2", "b2")
+PARAM_NAMES = tuple([f"{p}.{n}" for p in ("gru1", "gru2") for n in GRU_NAMES]
+                    + [f"{p}.{n}" for p in ("verb_head", "state_head") for n in HEAD_NAMES])
+
 
 class CheckpointError(RuntimeError):
     """Unreadable checkpoint file or layout mismatch with the current config."""
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5*tanh(x/2) + 0.5: one transcendental call and
+    no overflow branch."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 
@@ -59,17 +81,38 @@ class ModelSizes:
         )
 
 
-@dataclass
+def _gate_view(kind: str, gate: int) -> property:
+    def view(self) -> np.ndarray:
+        n = self.U.shape[1]
+        return getattr(self, kind)[gate * n:(gate + 1) * n]
+    return property(view)
+
+
+@dataclass(init=False)
 class GruLayerParams:
-    W_z: np.ndarray
-    W_r: np.ndarray
-    W_h: np.ndarray
-    U_z: np.ndarray
-    U_r: np.ndarray
-    U_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
+    """One GRU layer: W (3n, in), U (3n, n) and b (3n,), gate blocks in
+    [z; r; h] order.  ``GruLayerParams(W_z=..., ..., b_h=...)`` packs
+    separate gate arrays into this layout once; ``fused`` adopts arrays that
+    already have it."""
+
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
+
+    def __init__(self, W_z, W_r, W_h, U_z, U_r, U_h, b_z, b_r, b_h):
+        self.W = np.concatenate([W_z, W_r, W_h], dtype=np.float64)
+        self.U = np.concatenate([U_z, U_r, U_h], dtype=np.float64)
+        self.b = np.concatenate([b_z, b_r, b_h], dtype=np.float64)
+
+    @classmethod
+    def fused(cls, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> "GruLayerParams":
+        layer = cls.__new__(cls)
+        layer.W, layer.U, layer.b = W, U, b
+        return layer
+
+    W_z, W_r, W_h = (_gate_view("W", g) for g in range(3))
+    U_z, U_r, U_h = (_gate_view("U", g) for g in range(3))
+    b_z, b_r, b_h = (_gate_view("b", g) for g in range(3))
 
 
 @dataclass
@@ -91,41 +134,41 @@ class ModelParams:
         """Ordered name -> array view of every parameter."""
         out: dict[str, np.ndarray] = {}
         for prefix, layer in (("gru1", self.gru1), ("gru2", self.gru2)):
-            for name in ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h"):
+            for name in GRU_NAMES:
                 out[f"{prefix}.{name}"] = getattr(layer, name)
         for prefix, head in (("verb_head", self.verb_head), ("state_head", self.state_head)):
-            for name in ("W1", "b1", "W2", "b2"):
+            for name in HEAD_NAMES:
                 out[f"{prefix}.{name}"] = getattr(head, name)
         return out
 
     def sizes(self) -> ModelSizes:
         return ModelSizes(
-            input_dim=self.gru1.W_z.shape[1],
+            input_dim=self.gru1.W.shape[1],
             verb_dim=self.verb_head.W2.shape[0],
             state_dim=self.state_head.W2.shape[0],
-            gru1_hidden=self.gru1.W_z.shape[0],
-            gru2_hidden=self.gru2.W_z.shape[0],
+            gru1_hidden=self.gru1.U.shape[1],
+            gru2_hidden=self.gru2.U.shape[1],
             head_hidden=self.verb_head.W1.shape[0],
         )
 
     def copy(self) -> "ModelParams":
-        return params_from_flat({k: v.copy() for k, v in self.flat().items()})
+        return _map_arrays(self, np.copy)
 
 
-def params_from_flat(arrays: dict[str, np.ndarray]) -> ModelParams:
-    def layer(prefix):
-        return GruLayerParams(**{n: arrays[f"{prefix}.{n}"] for n in
-                                 ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")})
+def _map_arrays(params: ModelParams, fn) -> ModelParams:
+    """A ModelParams of ``fn`` applied to every fused array."""
+    def layer(g):
+        return GruLayerParams.fused(fn(g.W), fn(g.U), fn(g.b))
 
-    def head(prefix):
-        return MlpHeadParams(**{n: arrays[f"{prefix}.{n}"] for n in ("W1", "b1", "W2", "b2")})
+    def head(h):
+        return MlpHeadParams(*(fn(getattr(h, n)) for n in HEAD_NAMES))
 
-    return ModelParams(gru1=layer("gru1"), gru2=layer("gru2"),
-                       verb_head=head("verb_head"), state_head=head("state_head"))
+    return ModelParams(gru1=layer(params.gru1), gru2=layer(params.gru2),
+                       verb_head=head(params.verb_head), state_head=head(params.state_head))
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.flat().items()}
+    return _map_arrays(params, np.zeros_like).flat()
 
 
 def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
@@ -135,16 +178,23 @@ def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
             raise ValueError(f"size {field} must be positive, got {value}")
     rng = np.random.default_rng(seed)
 
+    def fill(out):
+        # In place, the same draws as rng.uniform(-limit, limit, out.shape).
+        limit = np.sqrt(6.0 / sum(out.shape))
+        rng.random(out=out)
+        out *= 2.0 * limit
+        out -= limit
+        return out
+
     def mat(rows, cols):
-        limit = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
+        return fill(np.empty((rows, cols)))
 
     def gru_layer(hidden, inp):
-        return GruLayerParams(
-            W_z=mat(hidden, inp), W_r=mat(hidden, inp), W_h=mat(hidden, inp),
-            U_z=mat(hidden, hidden), U_r=mat(hidden, hidden), U_h=mat(hidden, hidden),
-            b_z=np.zeros(hidden), b_r=np.zeros(hidden), b_h=np.zeros(hidden),
-        )
+        layer = GruLayerParams.fused(np.empty((3 * hidden, inp)),
+                                     np.empty((3 * hidden, hidden)), np.zeros(3 * hidden))
+        for name in ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h"):
+            fill(getattr(layer, name))
+        return layer
 
     def mlp_head(out_dim, inp):
         return MlpHeadParams(
@@ -160,41 +210,104 @@ def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
     )
 
 
+def _cell(U: np.ndarray, h: np.ndarray | None, gates: np.ndarray, rh: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """One GRU step for a vector or a block of rows.
+
+    ``gates`` (..., 3n) holds the input projection W x + b on entry and is
+    overwritten with z, r, hc.  Writes r*h into ``rh`` and returns h' (into
+    ``out`` when given).  ``h=None`` is the zero state, whose recurrent
+    products vanish and are skipped.
+    """
+    n = U.shape[1]
+    zr, hc = gates[..., :2 * n], gates[..., 2 * n:]
+    if h is None:
+        _sigmoid(zr, out=zr)
+        rh[...] = 0.0
+        np.tanh(hc, out=hc)
+        return np.multiply(gates[..., :n], hc, out=out)
+    zr += h @ U[:2 * n].T
+    _sigmoid(zr, out=zr)
+    np.multiply(gates[..., n:2 * n], h, out=rh)
+    hc += rh @ U[2 * n:].T
+    np.tanh(hc, out=hc)
+    out = np.subtract(hc, h, out=out)
+    out *= gates[..., :n]
+    out += h
+    return out
+
+
+def _cell_backward(U: np.ndarray, dh: np.ndarray, h: np.ndarray | None, gates: np.ndarray,
+                   deltas: np.ndarray) -> np.ndarray | None:
+    """Reverse of ``_cell`` for a block of rows: given dL/dh', writes the
+    pre-activation deltas [dz; dr; dhc] into ``deltas`` and returns dL/dh
+    (None for the zero state, whose gradient nobody needs)."""
+    n = U.shape[1]
+    z, r, hc = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
+    dz, dr, dhc = deltas[:, :n], deltas[:, n:2 * n], deltas[:, 2 * n:]
+    # h' = h + z*(hc - h)
+    np.multiply(dh * z, 1.0 - hc * hc, out=dhc)
+    if h is None:
+        np.multiply(dh * hc, z * (1.0 - z), out=dz)
+        dr[...] = 0.0
+        return None
+    np.multiply(dh * (hc - h), z * (1.0 - z), out=dz)
+    d_rh = dhc @ U[2 * n:]
+    np.multiply(d_rh * h, r * (1.0 - r), out=dr)
+    return dh * (1.0 - z) + d_rh * r + deltas[:, :2 * n] @ U[:2 * n]
+
+
 def gru_step(params: GruLayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One GRU step on plain vectors; h' = (1-z)*h + z*hc."""
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if x.shape[-1] != params.W_z.shape[1] or h.shape[-1] != params.U_z.shape[1]:
+    if x.shape[-1] != params.W.shape[1] or h.shape[-1] != params.U.shape[1]:
         raise ValueError(
-            f"shape mismatch: x {x.shape} vs W {params.W_z.shape}, h {h.shape} vs U {params.U_z.shape}"
+            f"shape mismatch: x {x.shape} vs W_z {params.W_z.shape}, "
+            f"h {h.shape} vs U_z {params.U_z.shape}"
         )
-    z = _sigmoid(params.W_z @ x + params.U_z @ h + params.b_z)
-    r = _sigmoid(params.W_r @ x + params.U_r @ h + params.b_r)
-    hc = np.tanh(params.W_h @ x + params.U_h @ (r * h) + params.b_h)
-    return (1.0 - z) * h + z * hc
+    return _cell(params.U, h, x @ params.W.T + params.b, np.empty_like(h))
+
+
+@dataclass
+class LayerTrace:
+    """One GRU layer's activations over the packed steps (see the module
+    docstring), row block [lo, hi) per step."""
+
+    h_in: np.ndarray      # (N, n) state entering the step
+    gates: np.ndarray     # (N, 3n) z, r, hc after their nonlinearities
+    rh: np.ndarray        # (N, n) r * h_in, the input of U_h
+    h_out: np.ndarray     # (N, n) state leaving the step
 
 
 @dataclass
 class ForwardTrace:
-    """Per-step activations needed for backpropagation through time.
-
-    Arrays are padded to the batch maximum length; entries at or beyond a
-    row's true length are frozen copies that carry no gradient, so the
-    effective trace of each sample is exactly its true length.
-    """
+    """What backpropagation through time needs from ``forward``."""
 
     token_matrix: np.ndarray
-    lengths: np.ndarray
-    h1_seq: list          # T+1 arrays (B, n1); h1_seq[0] is the zero state
-    h2_seq: list          # T+1 arrays (B, n2)
-    z1: list
-    r1: list
-    hc1: list
-    z2: list
-    r2: list
-    hc2: list
+    order: np.ndarray     # batch rows by decreasing length (stable)
+    blocks: list          # per step, the [lo, hi) packed rows of the running prefix
+    tokens: np.ndarray    # (N,) packed input tokens
+    gru1: LayerTrace
+    gru2: LayerTrace
+    h_final: np.ndarray   # (B, n2) last layer-2 state of each row, in batch order
     verb_head: tuple      # (a_pre, a, out)
     state_head: tuple
+
+
+def _layer_forward(U: np.ndarray, gates: np.ndarray, blocks: list) -> LayerTrace:
+    """Run one layer over every packed step; ``gates`` holds the input
+    projections on entry (see ``_cell``)."""
+    N, n = gates.shape[0], U.shape[1]
+    lt = LayerTrace(np.zeros((N, n)), gates, np.empty((N, n)), np.empty((N, n)))
+    for t, (lo, hi) in enumerate(blocks):
+        h = None
+        if t:
+            # The running rows of step t are the first hi-lo rows of step t-1.
+            h = lt.h_in[lo:hi]
+            h[...] = lt.h_out[blocks[t - 1][0]:][:hi - lo]
+        _cell(U, h, gates[lo:hi], lt.rh[lo:hi], out=lt.h_out[lo:hi])
+    return lt
 
 
 def _head_forward(head: MlpHeadParams, h: np.ndarray):
@@ -212,148 +325,120 @@ def forward(params: ModelParams, batch):
     """
     tokens = batch.token_matrix
     lengths = np.asarray(batch.lengths)
-    B, T = tokens.shape
     if np.any(lengths < 1):
         raise ValueError("every sample must have length >= 1")
-    input_dim = params.gru1.W_z.shape[1]
+    if lengths.max() > tokens.shape[1]:
+        raise ValueError(f"length {lengths.max()} exceeds the padded width {tokens.shape[1]}")
+    g1, g2 = params.gru1, params.gru2
+    input_dim = g1.W.shape[1]
     if tokens.min() < 0 or tokens.max() >= input_dim:
         raise ValueError(
             f"token index out of range: [{tokens.min()}, {tokens.max()}] vs input dim {input_dim}"
         )
 
-    g1, g2 = params.gru1, params.gru2
-    n1, n2 = g1.W_z.shape[0], g2.W_z.shape[0]
-    h1 = np.zeros((B, n1))
-    h2 = np.zeros((B, n2))
-    trace = ForwardTrace(tokens, lengths, [h1], [h2], [], [], [], [], [], [], (), ())
+    # Rows by decreasing length: the rows still running at step t are then a
+    # prefix of k_t rows, packed step-major as the block [starts[t], ends[t]).
+    B, T = len(lengths), int(lengths.max())
+    order = np.argsort(-lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    running = np.arange(B) < (sorted_lengths > np.arange(T)[:, None]).sum(axis=1)[:, None]
+    ends = np.cumsum(running.sum(axis=1))
+    starts = ends - running.sum(axis=1)
+    blocks = list(zip(starts.tolist(), ends.tolist()))
+    packed = tokens[order, :T].T[running]
 
-    for t in range(T):
-        idx = tokens[:, t]
-        live = (t < lengths)[:, None].astype(np.float64)
-        # One-hot input: select columns of W; padded rows get the zero vector.
-        xz = g1.W_z.T[idx] * live
-        xr = g1.W_r.T[idx] * live
-        xh = g1.W_h.T[idx] * live
-        z1 = _sigmoid(xz + h1 @ g1.U_z.T + g1.b_z)
-        r1 = _sigmoid(xr + h1 @ g1.U_r.T + g1.b_r)
-        hc1 = np.tanh(xh + (r1 * h1) @ g1.U_h.T + g1.b_h)
-        h1 = np.where(live > 0, (1.0 - z1) * h1 + z1 * hc1, h1)
+    # One-hot input: the projection of token j is column j of W.
+    x1 = g1.W.T[packed]
+    x1 += g1.b
+    l1 = _layer_forward(g1.U, x1, blocks)
+    x2 = l1.h_out @ g2.W.T
+    x2 += g2.b
+    l2 = _layer_forward(g2.U, x2, blocks)
 
-        x2 = h1
-        z2 = _sigmoid(x2 @ g2.W_z.T + h2 @ g2.U_z.T + g2.b_z)
-        r2 = _sigmoid(x2 @ g2.W_r.T + h2 @ g2.U_r.T + g2.b_r)
-        hc2 = np.tanh(x2 @ g2.W_h.T + (r2 * h2) @ g2.U_h.T + g2.b_h)
-        h2 = np.where(live > 0, (1.0 - z2) * h2 + z2 * hc2, h2)
-
-        trace.h1_seq.append(h1)
-        trace.h2_seq.append(h2)
-        trace.z1.append(z1)
-        trace.r1.append(r1)
-        trace.hc1.append(hc1)
-        trace.z2.append(z2)
-        trace.r2.append(r2)
-        trace.hc2.append(hc2)
-
-    trace.verb_head = _head_forward(params.verb_head, h2)
-    trace.state_head = _head_forward(params.state_head, h2)
-    return trace.verb_head[2], trace.state_head[2], trace
+    h_final = np.empty((B, g2.U.shape[1]))
+    h_final[order] = l2.h_out[starts[sorted_lengths - 1] + np.arange(B)]
+    verb_head = _head_forward(params.verb_head, h_final)
+    state_head = _head_forward(params.state_head, h_final)
+    trace = ForwardTrace(tokens, order, blocks, packed, l1, l2, h_final, verb_head, state_head)
+    return verb_head[2], state_head[2], trace
 
 
-def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad, grads, prefix):
+def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad):
+    """Gradients of one head and its gradient with respect to ``h_final``."""
     a_pre, a, out = head_trace
-    d_opre = out_grad * out * (1.0 - out)
-    grads[f"{prefix}.W2"] += d_opre.T @ a
-    grads[f"{prefix}.b2"] += d_opre.sum(axis=0)
+    d_opre = np.asarray(out_grad, dtype=np.float64) * out * (1.0 - out)
     d_a = (d_opre @ head.W2) * (a_pre > 0)
-    grads[f"{prefix}.W1"] += d_a.T @ h_final
-    grads[f"{prefix}.b1"] += d_a.sum(axis=0)
-    return d_a @ head.W1
+    grads = MlpHeadParams(W1=d_a.T @ h_final, b1=d_a.sum(axis=0),
+                          W2=d_opre.T @ a, b2=d_opre.sum(axis=0))
+    return grads, d_a @ head.W1
+
+
+def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
+                    dx: np.ndarray | None = None) -> np.ndarray:
+    """Sweep one layer back over the packed steps, starting from dL/dh in
+    ``dh`` (B, n, running order; updated in place).  ``dx`` adds the
+    gradient that arrives through each step's output from the layer above.
+    Returns the pre-activation deltas (N, 3n)."""
+    deltas = np.empty_like(lt.gates)
+    for i in range(len(blocks) - 1, -1, -1):
+        lo, hi = blocks[i]
+        k = hi - lo
+        if dx is not None:
+            dh[:k] += dx[lo:hi]
+        d_prev = _cell_backward(U, dh[:k], lt.h_in[lo:hi] if i else None,
+                                lt.gates[lo:hi], deltas[lo:hi])
+        if d_prev is not None:
+            dh[:k] = d_prev
+    return deltas
+
+
+def _recurrent_grads(deltas: np.ndarray, lt: LayerTrace, dW: np.ndarray) -> GruLayerParams:
+    """U and b gradients of one layer as one GEMM over all packed steps."""
+    n = lt.h_in.shape[1]
+    dU = np.empty((3 * n, n))
+    np.matmul(deltas[:, :2 * n].T, lt.h_in, out=dU[:2 * n])
+    np.matmul(deltas[:, 2 * n:].T, lt.rh, out=dU[2 * n:])
+    return GruLayerParams.fused(dW, dU, deltas.sum(axis=0))
 
 
 def backward(params: ModelParams, batch, trace: ForwardTrace,
              verb_out_grad: np.ndarray, state_out_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the batch-summed loss with respect to
-    every parameter, given dLoss/dOutput for each head."""
+    every parameter, given dLoss/dOutput for each head.  The GRU gradients
+    are per-gate views of fused [z; r; h] buffers."""
     if trace.token_matrix is not batch.token_matrix and not np.array_equal(
         trace.token_matrix, batch.token_matrix
     ):
         raise ValueError("trace does not belong to this batch")
-    tokens = batch.token_matrix
-    lengths = np.asarray(batch.lengths)
-    B, T = tokens.shape
     g1, g2 = params.gru1, params.gru2
-    grads = zero_grads(params)
-    # Input-side scatter targets, transposed so rows index the vocabulary.
-    gW1_T = {k: np.zeros((g1.W_z.shape[1], g1.W_z.shape[0])) for k in ("W_z", "W_r", "W_h")}
+    verb, dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
+                                   verb_out_grad)
+    state, dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
+                                     state_out_grad)
 
-    h_final = trace.h2_seq[-1]
-    dh2 = _head_backward(params.verb_head, h_final, trace.verb_head,
-                         np.asarray(verb_out_grad, dtype=np.float64), grads, "verb_head")
-    dh2 += _head_backward(params.state_head, h_final, trace.state_head,
-                          np.asarray(state_out_grad, dtype=np.float64), grads, "state_head")
-    dh1 = np.zeros_like(trace.h1_seq[0])
+    dh2 = (dh_verb + dh_state)[trace.order]
+    d2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2)
+    gru2 = _recurrent_grads(d2, trace.gru2, d2.T @ trace.gru1.h_out)
+    dx1 = d2 @ g2.W
+    del d2
 
-    for t in range(T - 1, -1, -1):
-        live = (t < lengths)[:, None].astype(np.float64)
-        idx = tokens[:, t]
-
-        # Layer 2: x2 is the layer-1 state at this step.
-        x2 = trace.h1_seq[t + 1]
-        h2_prev = trace.h2_seq[t]
-        z2, r2, hc2 = trace.z2[t], trace.r2[t], trace.hc2[t]
-        d_z2pre = dh2 * (hc2 - h2_prev) * z2 * (1.0 - z2) * live
-        d_hc2pre = dh2 * z2 * (1.0 - hc2 * hc2) * live
-        d_rh2 = d_hc2pre @ g2.U_h
-        d_r2pre = d_rh2 * h2_prev * r2 * (1.0 - r2) * live
-        grads["gru2.W_z"] += d_z2pre.T @ x2
-        grads["gru2.W_r"] += d_r2pre.T @ x2
-        grads["gru2.W_h"] += d_hc2pre.T @ x2
-        grads["gru2.U_z"] += d_z2pre.T @ h2_prev
-        grads["gru2.U_r"] += d_r2pre.T @ h2_prev
-        grads["gru2.U_h"] += d_hc2pre.T @ (r2 * h2_prev)
-        grads["gru2.b_z"] += d_z2pre.sum(axis=0)
-        grads["gru2.b_r"] += d_r2pre.sum(axis=0)
-        grads["gru2.b_h"] += d_hc2pre.sum(axis=0)
-        dx2 = d_z2pre @ g2.W_z + d_r2pre @ g2.W_r + d_hc2pre @ g2.W_h
-        dh2 = np.where(
-            live > 0,
-            dh2 * (1.0 - z2) + d_rh2 * r2 + d_z2pre @ g2.U_z + d_r2pre @ g2.U_r,
-            dh2,
-        )
-
-        # Layer 1: gradient arrives both through its own recurrence and
-        # through layer 2's input at this step.
-        dh1 = dh1 + dx2
-        h1_prev = trace.h1_seq[t]
-        z1, r1, hc1 = trace.z1[t], trace.r1[t], trace.hc1[t]
-        d_z1pre = dh1 * (hc1 - h1_prev) * z1 * (1.0 - z1) * live
-        d_hc1pre = dh1 * z1 * (1.0 - hc1 * hc1) * live
-        d_rh1 = d_hc1pre @ g1.U_h
-        d_r1pre = d_rh1 * h1_prev * r1 * (1.0 - r1) * live
-        np.add.at(gW1_T["W_z"], idx, d_z1pre)
-        np.add.at(gW1_T["W_r"], idx, d_r1pre)
-        np.add.at(gW1_T["W_h"], idx, d_hc1pre)
-        grads["gru1.U_z"] += d_z1pre.T @ h1_prev
-        grads["gru1.U_r"] += d_r1pre.T @ h1_prev
-        grads["gru1.U_h"] += d_hc1pre.T @ (r1 * h1_prev)
-        grads["gru1.b_z"] += d_z1pre.sum(axis=0)
-        grads["gru1.b_r"] += d_r1pre.sum(axis=0)
-        grads["gru1.b_h"] += d_hc1pre.sum(axis=0)
-        dh1 = np.where(
-            live > 0,
-            dh1 * (1.0 - z1) + d_rh1 * r1 + d_z1pre @ g1.U_z + d_r1pre @ g1.U_r,
-            dh1,
-        )
-
-    for key, acc in gW1_T.items():
-        grads[f"gru1.{key}"] += acc.T
-    return grads
+    dh1 = np.zeros((len(trace.order), g1.U.shape[1]))
+    d1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, dx=dx1)
+    # Sum each token's input deltas with one one-hot GEMM over the tokens
+    # present, then place the sums in those tokens' columns of W.
+    present, which = np.unique(trace.tokens, return_inverse=True)
+    one_hot = np.zeros((len(present), len(trace.tokens)))
+    one_hot[which, np.arange(len(trace.tokens))] = 1.0
+    dW1 = np.zeros_like(g1.W)
+    dW1[:, present] = (one_hot @ d1).T
+    gru1 = _recurrent_grads(d1, trace.gru1, dW1)
+    return ModelParams(gru1=gru1, gru2=gru2, verb_head=verb, state_head=state).flat()
 
 
 # ---------------------------------------------------------------------------
 # Checkpointing: magic "TANL", u32 version, JSON metadata block, then a
 # named-array table of raw little-endian float64 data for a bit-exact round
-# trip.
+# trip.  GRU parameters are stored one array per gate.
 # ---------------------------------------------------------------------------
 
 
@@ -395,51 +480,78 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(name_bytes)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Stream a checkpoint from disk, reading each array straight into its
+    final place: a GRU gate into its row block of the layer's fused array."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    data = path.read_bytes()
-    view = memoryview(data)
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(data):
-            raise CheckpointError(f"truncated checkpoint: {path}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    if bytes(take(4)) != CKPT_MAGIC:
-        raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
-    version, meta_len = struct.unpack("<II", take(8))
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
-    meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-    (n_arrays,) = struct.unpack("<I", take(4))
+    size = path.stat().st_size
+    fused: dict[tuple[str, str], np.ndarray] = {}
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-    if pos != len(data):
-        raise CheckpointError(f"trailing bytes in checkpoint: {path}")
 
-    cache = {k[len("rmsprop."):]: v for k, v in arrays.items() if k.startswith("rmsprop.")}
-    param_arrays = {k: v for k, v in arrays.items() if not k.startswith("rmsprop.")}
-    try:
-        params = params_from_flat(param_arrays)
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint missing parameter array {exc}") from None
+    def destination(name: str, shape: tuple) -> np.ndarray:
+        prefix, _, leaf = name.partition(".")
+        if prefix not in ("gru1", "gru2") or leaf not in GRU_NAMES or not shape:
+            arrays[name] = np.empty(shape)
+            return arrays[name]
+        n, key = shape[0], (prefix, leaf[0])
+        if key not in fused:
+            fused[key] = np.empty((3 * n,) + shape[1:])
+        if fused[key].shape != (3 * n,) + shape[1:]:
+            raise CheckpointError(f"{name} has shape {shape}, unlike the other gates")
+        i = GATES.index(leaf[-1])
+        arrays[name] = fused[key][i * n:(i + 1) * n]
+        return arrays[name]
+
+    with path.open("rb") as fh:
+        def take(n):
+            chunk = fh.read(n)
+            if len(chunk) < n:
+                raise CheckpointError(f"truncated checkpoint: {path}")
+            return chunk
+
+        if take(4) != CKPT_MAGIC:
+            raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
+        version, meta_len = struct.unpack("<II", take(8))
+        if version != CKPT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
+        meta = json.loads(take(meta_len).decode("utf-8"))
+        (n_arrays,) = struct.unpack("<I", take(4))
+        for _ in range(n_arrays):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            # Check the size against the file before allocating for it.
+            if 8 * math.prod(shape) > size - fh.tell():
+                raise CheckpointError(f"truncated checkpoint: {path}")
+            arr = destination(name, shape)
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"truncated checkpoint: {path}")
+            if sys.byteorder != "little":
+                arr.byteswap(inplace=True)
+        if fh.read(1):
+            raise CheckpointError(f"trailing bytes in checkpoint: {path}")
+
+    for name in PARAM_NAMES:
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint missing parameter array {name!r}")
+
+    def layer(prefix):
+        return GruLayerParams.fused(*(fused[(prefix, kind)] for kind in "WUb"))
+
+    def head(prefix):
+        return MlpHeadParams(*(arrays[f"{prefix}.{n}"] for n in HEAD_NAMES))
+
+    params = ModelParams(gru1=layer("gru1"), gru2=layer("gru2"),
+                         verb_head=head("verb_head"), state_head=head("state_head"))
     rmsprop = None
     if meta.get("rmsprop") is not None:
+        cache = {k[len("rmsprop."):]: v for k, v in arrays.items() if k.startswith("rmsprop.")}
         rmsprop = dict(meta["rmsprop"], cache=cache)
     best = meta["best_val_error"]
     return Checkpoint(
@@ -461,9 +573,11 @@ def check_fingerprint(found: str, expected: str) -> None:
 
 
 def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
-                   step: float = 1e-5, corrupt_backward: bool = False) -> float:
+                   step: float = 1e-5, corrupt_backward: bool = False,
+                   lengths: tuple[int, ...] = (3, 5)) -> float:
     """Max relative error between backward() and central finite differences
-    of the batch-summed tangent loss, over sampled parameter coordinates.
+    of the batch-summed tangent loss, over sampled parameter coordinates, on
+    one batch of random sentences of the given lengths.
 
     ``corrupt_backward`` deliberately scales the analytic gradients so tests
     can confirm the harness actually detects a wrong backward pass.
@@ -473,7 +587,7 @@ def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
     rng = np.random.default_rng(seed)
     params = init_params(sizes, seed)
     samples = []
-    for length in (3, 5):
+    for length in lengths:
         verb = np.zeros(sizes.verb_dim)
         verb[rng.integers(0, sizes.verb_dim)] = 1.0
         state = np.zeros(sizes.state_dim)
@@ -486,11 +600,8 @@ def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
 
     def total_loss(p):
         verb_pred, state_pred, _ = forward(p, batch)
-        loss = 0.0
-        for r in range(len(batch)):
-            loss += tangent_loss(batch.verb_labels[r], verb_pred[r])
-            loss += tangent_loss(batch.state_labels[r], state_pred[r])
-        return loss
+        return (tangent_loss(batch.verb_labels, verb_pred)
+                + tangent_loss(batch.state_labels, state_pred))
 
     verb_pred, state_pred, trace = forward(params, batch)
     grads = backward(params, batch, trace,

@@ -87,7 +87,7 @@ def validation_error(params: ModelParams, samples, pad_index: int,
     """Mean over samples of the two heads' cross-entropy-gap errors."""
     labels, preds = [], []
     for batch in make_batches(samples, batch_size, seed=0, pad_index=pad_index, shuffle=False):
-        verb_pred, state_pred, _ = forward(params, batch)
+        verb_pred, state_pred = forward(params, batch)[:2]
         for r in range(len(batch)):
             labels.append((batch.verb_labels[r], batch.state_labels[r]))
             preds.append((verb_pred[r], state_pred[r]))
@@ -160,9 +160,8 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
         for batch in make_batches(split.train, config.batch_size,
                                   seed=config.shuffle_seed + epoch, pad_index=pad_index):
             verb_pred, state_pred, trace = forward(params, batch)
-            for r in range(len(batch)):
-                loss_sum += total_loss(verb_pred[r], batch.verb_labels[r],
-                                       state_pred[r], batch.state_labels[r])
+            loss_sum += (tangent_loss(batch.verb_labels, verb_pred)
+                         + tangent_loss(batch.state_labels, state_pred))
             verb_grad = tangent_loss_grad(batch.verb_labels, verb_pred)
             state_grad = tangent_loss_grad(batch.state_labels, state_pred)
             if config.batch_reduction == "mean":
@@ -170,6 +169,8 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
                 state_grad = state_grad / len(batch)
             grads = backward(params, batch, trace, verb_grad, state_grad)
             rmsprop_step(params, grads, opt, clip=config.grad_clip)
+            # Free them before the next batch, or the snapshot, allocates its own.
+            del trace, grads
 
         val_err = None
         saved = False

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tanloss
 from tanloss import cli
 
 
@@ -244,3 +249,32 @@ def test_thread_cap_env_var():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.split() == ["1", "1"]
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+# Records the BLAS thread variables at the moment numpy is first imported,
+# which is when BLAS reads them.
+NUMPY_IMPORT_PROBE = """
+import importlib.abc, json, os, sys
+seen = {}
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        return None
+sys.meta_path.insert(0, Probe())
+import tanloss
+print(json.dumps(seen))
+"""
+
+
+def test_tanloss_threads_is_set_before_numpy_is_imported():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["TANLOSS_THREADS"] = "3"
+    src = str(Path(tanloss.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "3"}

@@ -61,6 +61,54 @@ class TestInit:
             init_params(ModelSizes(input_dim=0, verb_dim=2, state_dim=2), seed=0)
 
 
+class TestFusedLayout:
+    GATES = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
+
+    def models(self, tmp_path):
+        params = init_params(TOY, seed=3)
+        save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5,
+                                   config_fingerprint=TOY.fingerprint(), seeds={}),
+                        tmp_path / "m.bin")
+        return {"init": params, "copy": params.copy(),
+                "loaded": load_checkpoint(tmp_path / "m.bin").params}
+
+    def test_writing_through_a_gate_view_changes_forward(self, tmp_path):
+        batch = make_batch(TOY, [3, 5])
+        for origin, params in self.models(tmp_path).items():
+            for layer in ("gru1", "gru2"):
+                for name in self.GATES:
+                    before, _, _ = forward(params, batch)
+                    view = getattr(getattr(params, layer), name)
+                    saved = view.copy()
+                    view[...] += 0.25
+                    after, _, _ = forward(params, batch)
+                    view[...] = saved
+                    assert not np.array_equal(before, after), (origin, layer, name)
+
+    def test_gate_views_tile_the_fused_arrays(self, tmp_path):
+        for params in self.models(tmp_path).values():
+            for layer in (params.gru1, params.gru2):
+                n = layer.U.shape[1]
+                for kind, fused in (("W", layer.W), ("U", layer.U), ("b", layer.b)):
+                    assert fused.shape[0] == 3 * n and fused.flags.c_contiguous
+                    for i, gate in enumerate("zrh"):
+                        view = getattr(layer, f"{kind}_{gate}")
+                        assert view.base is fused
+                        assert np.shares_memory(view, fused[i * n:(i + 1) * n])
+
+    def test_gradients_come_back_as_views_of_fused_buffers(self):
+        params = init_params(TOY, seed=2)
+        batch = make_batch(TOY, [3, 4])
+        verb, state, trace = forward(params, batch)
+        grads = backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                         tangent_loss_grad(batch.state_labels, state))
+        for layer in ("gru1", "gru2"):
+            for kind in "WUb":
+                views = [grads[f"{layer}.{kind}_{gate}"] for gate in "zrh"]
+                assert views[0].base is not None
+                assert all(v.base is views[0].base for v in views)
+
+
 class TestGruStep:
     def test_zero_params_halve_the_state(self):
         params = zero_gru(3, 4)
@@ -243,6 +291,24 @@ class TestBackward:
         for name in ("verb_head.W1", "verb_head.W2"):
             assert np.all(verb_zeroed[name] == 0)
 
+    def test_finite_differences_with_unequal_layers_and_mixed_lengths(self):
+        sizes = ModelSizes(input_dim=9, verb_dim=3, state_dim=2,
+                           gru1_hidden=7, gru2_hidden=5, head_hidden=4)
+        assert gradient_check(sizes, seed=4, n_coords=400, lengths=(2, 6, 4, 6, 1)) < 1e-4
+
+    def test_padding_invariance_bit_exact(self):
+        params = init_params(TOY, seed=4)
+        grads = []
+        for pad_to in (None, 11):
+            batch = make_batch(TOY, [3, 5, 2], seed=1, pad_to=pad_to)
+            verb, state, trace = forward(params, batch)
+            grads.append(backward(params, batch, trace,
+                                  tangent_loss_grad(batch.verb_labels, verb),
+                                  tangent_loss_grad(batch.state_labels, state)))
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            assert np.array_equal(grads[0][name], grads[1][name]), name
+
     def test_trace_batch_mismatch_rejected(self):
         params = init_params(TOY, seed=0)
         batch_a = make_batch(TOY, [3, 4], seed=1)
@@ -305,6 +371,41 @@ class TestCheckpoint:
         (tmp_path / "cut.bin").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(tmp_path / "cut.bin")
+
+    def test_file_cut_inside_an_array_body_rejected(self, tmp_path):
+        save_checkpoint(self.snapshot(init_params(TOY, seed=1)), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        # name, ndim byte and two u64 dims precede gru1.W_z's 3 x 6 float64 body
+        body = blob.index(b"gru1.W_z") + len(b"gru1.W_z") + 1 + 16
+        (tmp_path / "cut.bin").write_bytes(blob[: body + 8 * 5])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(tmp_path / "cut.bin")
+
+    def test_oversized_array_header_rejected_before_allocating(self, tmp_path):
+        import struct
+
+        (tmp_path / "m.bin").write_bytes(
+            b"TANL" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"x" + struct.pack("<B", 2)
+            + struct.pack("<2Q", 2 ** 40, 2 ** 20))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(tmp_path / "m.bin")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        save_checkpoint(self.snapshot(init_params(TOY, seed=1)), tmp_path / "m.bin")
+        with (tmp_path / "m.bin").open("ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(tmp_path / "m.bin")
+
+    def test_missing_array_named(self, tmp_path):
+        params = init_params(TOY, seed=1)
+        save_checkpoint(self.snapshot(params), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        # Rename the stored gru2.U_r so that the gate reads as missing.
+        (tmp_path / "renamed.bin").write_bytes(blob.replace(b"gru2.U_r", b"gru2.X_r"))
+        with pytest.raises(CheckpointError, match=r"missing parameter array 'gru2\.U_r'"):
+            load_checkpoint(tmp_path / "renamed.bin")
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
