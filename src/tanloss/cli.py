@@ -3,19 +3,30 @@
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config error,
 3 data error.  TANLOSS_THREADS caps BLAS worker threads when set before
 launch (see the package's __init__).
+
+``eval`` and ``predict`` load the parameters only and skip the checkpoint's
+optimizer cache.  ``predict`` reads stdin as a stream: it answers the first
+line alone as soon as it is read, then each group of up to PREDICT_GROUP
+complete lines already read with one forward pass, printing the lines in
+input order and flushing stdout after each group.  A blank line prints every
+line before it, then fails.
 """
 
 import argparse
+import codecs
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (DataError, SyntheticConfig, generate_synthetic_corpus, ingest_jsonl,
-                     load_vocab, save_vocab, split_dataset, write_jsonl)
+from . import network
+from .corpus import (DataError, Sample, SyntheticConfig, generate_synthetic_corpus,
+                     ingest_jsonl, load_vocab, pad_batch, save_vocab, split_dataset, write_jsonl)
 from .evaluation import TOLERANCE_MODES, binarize, evaluate
 from .network import CheckpointError, ModelSizes, check_fingerprint, gradient_check, load_checkpoint
 from .training import TrainConfig, resume, train, vocabs_from_meta
@@ -26,6 +37,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 GRADCHECK_TOLERANCE = 1e-4
+# Most lines `predict` runs through one forward pass.
+PREDICT_GROUP = 64
 
 
 class ConfigError(ValueError):
@@ -204,7 +217,7 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_ckpt(path):
-    ckpt = load_checkpoint(path)
+    ckpt = load_checkpoint(path, optimizer=False)
     if ckpt.vocabs is None:
         raise CheckpointError(f"{path} carries no vocabulary metadata")
     vocabs = vocabs_from_meta(ckpt.vocabs)
@@ -233,30 +246,62 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    from .corpus import Sample, pad_batch
-    from .network import forward
+def _line_groups(stream):
+    """Yield the lines of ``stream`` in groups as they become readable.
 
+    The first line comes alone; after it, a group holds the complete lines
+    already read, at most PREDICT_GROUP.  A read returns whatever input is
+    available (``read1`` on the byte buffer), so no complete line waits for
+    more.  Lines end at \\n, \\r\\n or \\r, as in a text-mode read; a last
+    line needs no newline.  Streams without a byte buffer, such as
+    ``io.StringIO``, are read whole.
+    """
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        reads, decoder, end = [stream.read()], None, ""
+    else:
+        reads, end = iter(lambda: buffer.read1(1 << 16), b""), b""
+        decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
+    newlines = io.IncrementalNewlineDecoder(decoder, translate=True)
+    pending, first = "", True
+    for data in itertools.chain(reads, [None]):
+        text = newlines.decode(end, final=True) if data is None else newlines.decode(data)
+        *lines, pending = (pending + text).split("\n")
+        if data is None and pending:
+            lines.append(pending)
+        if first and lines:
+            yield lines[:1]
+            del lines[0]
+            first = False
+        for i in range(0, len(lines), PREDICT_GROUP):
+            yield lines[i:i + PREDICT_GROUP]
+
+
+def cmd_predict(args) -> int:
     ckpt, (text_vocab, verb_vocab, state_vocab) = _load_eval_ckpt(args.ckpt)
-    lines = sys.stdin.read().splitlines()
-    if not lines:
-        print("error: no input on stdin", file=sys.stderr)
-        return EXIT_FAILURE
-    for line in lines:
-        tokens = line.split()
-        if not tokens:
+    no_verbs, no_states = np.zeros(len(verb_vocab)), np.zeros(len(state_vocab))
+    answered = False
+    for group in _line_groups(sys.stdin):
+        # The lines up to the first blank one.
+        sentences = list(itertools.takewhile(bool, (line.split() for line in group)))
+        if sentences:
+            batch = pad_batch([Sample([text_vocab.lookup(t) for t in tokens], no_verbs, no_states)
+                               for tokens in sentences], pad_index=text_vocab.pad_index)
+            # Through the module, so that a wrapper set on network.forward applies.
+            verb_pred, state_pred = network.forward(ckpt.params, batch)[:2]
+            sys.stdout.write("".join(json.dumps({
+                "tokens": tokens,
+                "verbs": sorted(verb_vocab.tokens[i] for i in binarize(verb, args.threshold)),
+                "states": sorted(state_vocab.tokens[i] for i in binarize(state, args.threshold)),
+            }) + "\n" for tokens, verb, state in zip(sentences, verb_pred, state_pred)))
+            sys.stdout.flush()
+            answered = True
+        if len(sentences) < len(group):
             print("error: empty input line", file=sys.stderr)
             return EXIT_FAILURE
-        sample = Sample(tokens=[text_vocab.lookup(t) for t in tokens],
-                        verb_label=np.zeros(len(verb_vocab)),
-                        state_label=np.zeros(len(state_vocab)))
-        batch = pad_batch([sample], pad_index=text_vocab.pad_index)
-        verb_pred, state_pred = forward(ckpt.params, batch)[:2]
-        print(json.dumps({
-            "tokens": tokens,
-            "verbs": sorted(verb_vocab.tokens[i] for i in binarize(verb_pred[0], args.threshold)),
-            "states": sorted(state_vocab.tokens[i] for i in binarize(state_pred[0], args.threshold)),
-        }))
+    if not answered:
+        print("error: no input on stdin", file=sys.stderr)
+        return EXIT_FAILURE
     return EXIT_OK
 
 

@@ -17,22 +17,41 @@ from .network import ModelParams, forward
 TOLERANCE_MODES = ("subset", "symmetric")
 
 
-def binarize(pred, threshold: float = 0.5) -> set[int]:
-    """Indices with prediction >= threshold (inclusive boundary)."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in TOLERANCE_MODES:
+        raise ValueError(f"unknown tolerance mode {mode!r}")
+
+
+def binarize(pred, threshold: float = 0.5) -> set[int]:
+    """Indices with prediction >= threshold (inclusive boundary)."""
+    _check_threshold(threshold)
     pred = np.asarray(pred, dtype=np.float64)
     return set(np.flatnonzero(pred >= threshold).tolist())
 
 
 def one_missing_match(pred: set[int], label: set[int], mode: str = "subset") -> bool:
-    if mode not in TOLERANCE_MODES:
-        raise ValueError(f"unknown tolerance mode {mode!r}")
+    _check_mode(mode)
     if not label:
         return not pred
     if mode == "subset":
         return pred <= label and len(label - pred) <= 1
     return len(pred ^ label) <= 1
+
+
+def _one_missing_rows(pred: np.ndarray, label: np.ndarray, mode: str) -> np.ndarray:
+    """``one_missing_match`` for each row of boolean (N, m) prediction and
+    label matrices."""
+    missing = np.count_nonzero(label & ~pred, axis=1)
+    extra = np.count_nonzero(pred & ~label, axis=1)
+    if mode == "subset":
+        # An empty label has nothing missing, so this asks for an empty prediction.
+        return (extra == 0) & (missing <= 1)
+    return np.where(label.any(axis=1), missing + extra <= 1, extra == 0)
 
 
 @dataclass
@@ -56,21 +75,19 @@ def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
     """Per-head one-missing accuracy over a test set."""
     if not test_set:
         raise ValueError("cannot evaluate an empty test set")
-    flags: list[tuple[bool, bool]] = []
+    _check_threshold(threshold)
+    _check_mode(mode)
+    verb_ok, state_ok = [], []
     for batch in make_batches(test_set, batch_size, seed=0, pad_index=pad_index, shuffle=False):
         # [:2] drops the trace now, not when the next batch's forward returns.
         verb_pred, state_pred = forward(params, batch)[:2]
-        for r in range(len(batch)):
-            verb_ok = one_missing_match(
-                binarize(verb_pred[r], threshold),
-                set(np.flatnonzero(batch.verb_labels[r]).tolist()), mode)
-            state_ok = one_missing_match(
-                binarize(state_pred[r], threshold),
-                set(np.flatnonzero(batch.state_labels[r]).tolist()), mode)
-            flags.append((verb_ok, state_ok))
+        verb_ok.append(_one_missing_rows(verb_pred >= threshold, batch.verb_labels != 0, mode))
+        state_ok.append(_one_missing_rows(state_pred >= threshold, batch.state_labels != 0, mode))
+    verb_ok, state_ok = np.concatenate(verb_ok), np.concatenate(state_ok)
+    n = len(verb_ok)
     return EvalReport(
-        action_accuracy=100.0 * sum(f[0] for f in flags) / len(flags),
-        state_accuracy=100.0 * sum(f[1] for f in flags) / len(flags),
-        n_samples=len(flags),
-        per_sample_flags=flags,
+        action_accuracy=100.0 * int(np.count_nonzero(verb_ok)) / n,
+        state_accuracy=100.0 * int(np.count_nonzero(state_ok)) / n,
+        n_samples=n,
+        per_sample_flags=list(zip(verb_ok.tolist(), state_ok.tolist())),
     )

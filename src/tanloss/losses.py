@@ -92,19 +92,33 @@ def error_epsilon(y, p) -> float:
     return abs(cross_entropy(p_pred, q_label) - cross_entropy(q_label, q_label))
 
 
-def batch_error(label_pairs, pred_pairs) -> float:
+def _error_rows(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``error_epsilon`` of each row of two (N, m) matrices, from a row-wise
+    log-softmax: the gap is |sum_x (Q(x) - P(x)) log2 Q(x)| with Q the label
+    pmf and P the prediction pmf."""
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
+        raise ValueError("softmax input must be finite")
+
+    def log_softmax(v):
+        shifted = v - v.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    log_q = log_softmax(y)
+    gap = np.sum((np.exp(log_q) - np.exp(log_softmax(p))) * log_q, axis=1)
+    return np.abs(gap) / np.log(2.0)
+
+
+def batch_error(labels, preds) -> float:
     """Mean over samples of error_epsilon(verb head) + error_epsilon(state head).
 
-    ``label_pairs`` and ``pred_pairs`` are equal-length sequences of
-    (verb_vector, state_vector) tuples.
+    ``labels`` and ``preds`` are (verb, state) pairs of matrices, one row per
+    sample: (N, verb_dim) and (N, state_dim).
     """
-    if len(label_pairs) != len(pred_pairs):
-        raise ValueError(
-            f"got {len(label_pairs)} label pairs but {len(pred_pairs)} prediction pairs"
-        )
-    if not label_pairs:
+    (y_verb, y_state), (p_verb, p_state) = labels, preds
+    y_verb, p_verb = _check_same_shape(y_verb, p_verb)
+    y_state, p_state = _check_same_shape(y_state, p_state)
+    if y_verb.ndim != 2 or y_state.ndim != 2 or len(y_verb) != len(y_state):
+        raise ValueError(f"verb rows {y_verb.shape} and state rows {y_state.shape} do not pair up")
+    if not len(y_verb):
         raise ValueError("batch_error over an empty sample set is undefined")
-    total = 0.0
-    for (y_verb, y_state), (p_verb, p_state) in zip(label_pairs, pred_pairs):
-        total += error_epsilon(y_verb, p_verb) + error_epsilon(y_state, p_state)
-    return total / len(label_pairs)
+    return float(np.mean(_error_rows(y_verb, p_verb) + _error_rows(y_state, p_state)))

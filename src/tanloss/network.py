@@ -27,6 +27,7 @@ Conventions fixed here and relied on by the test suite:
 Everything is float64 so finite-difference gradient checks are meaningful.
 """
 
+import io
 import json
 import math
 import struct
@@ -483,9 +484,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Stream a checkpoint from disk, reading each array straight into its
-    final place: a GRU gate into its row block of the layer's fused array."""
+    final place: a GRU gate into its row block of the layer's fused array.
+
+    With ``optimizer=False`` the body of every ``rmsprop.*`` array is skipped
+    (its header and size are still checked) and ``rmsprop`` is None: what
+    inference needs, for half the bytes read.
+    """
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -529,6 +535,9 @@ def load_checkpoint(path) -> Checkpoint:
             # Check the size against the file before allocating for it.
             if 8 * math.prod(shape) > size - fh.tell():
                 raise CheckpointError(f"truncated checkpoint: {path}")
+            if not optimizer and name.startswith("rmsprop."):
+                fh.seek(8 * math.prod(shape), io.SEEK_CUR)
+                continue
             arr = destination(name, shape)
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint: {path}")
@@ -550,7 +559,7 @@ def load_checkpoint(path) -> Checkpoint:
     params = ModelParams(gru1=layer("gru1"), gru2=layer("gru2"),
                          verb_head=head("verb_head"), state_head=head("state_head"))
     rmsprop = None
-    if meta.get("rmsprop") is not None:
+    if optimizer and meta.get("rmsprop") is not None:
         cache = {k[len("rmsprop."):]: v for k, v in arrays.items() if k.startswith("rmsprop.")}
         rmsprop = dict(meta["rmsprop"], cache=cache)
     best = meta["best_val_error"]

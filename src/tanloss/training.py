@@ -85,13 +85,11 @@ def total_loss(verb_pred, verb_label, state_pred, state_label) -> float:
 def validation_error(params: ModelParams, samples, pad_index: int,
                      batch_size: int = 64) -> float:
     """Mean over samples of the two heads' cross-entropy-gap errors."""
-    labels, preds = [], []
-    for batch in make_batches(samples, batch_size, seed=0, pad_index=pad_index, shuffle=False):
-        verb_pred, state_pred = forward(params, batch)[:2]
-        for r in range(len(batch)):
-            labels.append((batch.verb_labels[r], batch.state_labels[r]))
-            preds.append((verb_pred[r], state_pred[r]))
-    return batch_error(labels, preds)
+    rows = [(batch.verb_labels, batch.state_labels, *forward(params, batch)[:2])
+            for batch in make_batches(samples, batch_size, seed=0, pad_index=pad_index,
+                                      shuffle=False)]
+    verb_labels, state_labels, verb_preds, state_preds = map(np.concatenate, zip(*rows))
+    return batch_error((verb_labels, state_labels), (verb_preds, state_preds))
 
 
 def _check_config(config: TrainConfig) -> None:
@@ -221,7 +219,8 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) ->
     """Continue training from a stored checkpoint up to config.epochs.
 
     The checkpoint's layout fingerprint must match the configured layer
-    sizes; optimizer hyperparameters and state come from the checkpoint so
+    sizes, and the vocabularies it stores must equal ``vocabs`` token for
+    token; optimizer hyperparameters and state come from the checkpoint so
     the continuation is exact.  Resuming with config.epochs equal to the
     stored epoch runs nothing and leaves parameters untouched.
     """
@@ -230,6 +229,12 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) ->
     ckpt = load_checkpoint(checkpoint_path)
     sizes = config.sizes_for(*vocabs)
     check_fingerprint(ckpt.config_fingerprint, sizes.fingerprint())
+    if ckpt.vocabs is not None:
+        given = _vocab_meta(*vocabs)
+        for name in ("text", "verb", "state"):
+            if ckpt.vocabs[name] != given[name]:
+                raise CheckpointError(f"{checkpoint_path}: stored {name} vocabulary differs "
+                                      f"from the one given")
     if ckpt.rmsprop is None:
         raise CheckpointError(f"{checkpoint_path} carries no optimizer state; cannot resume")
     opt = RmsPropState(cache=ckpt.rmsprop["cache"], lr=ckpt.rmsprop["lr"],

@@ -1,14 +1,17 @@
 import io
 import json
 import os
+import queue
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tanloss
-from tanloss import cli
+from tanloss import cli, network
 
 
 def run(capsys, *argv):
@@ -126,6 +129,22 @@ class TestTrain:
                for line in (tmp_path / "k" / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in log] == [1, 2, 3, 4, 5]
 
+    def test_resume_with_reordered_vocab_fails(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["gen-synthetic", "--out", str(corpus), "--count", "30"]) == 0
+        base = ["--data", str(corpus / "samples.jsonl"), "--vocab-dir", str(corpus),
+                "--ckpt-dir", str(tmp_path / "k"), "--gru1", "4", "--gru2", "3",
+                "--head-hidden", "3", "--keep-all", "--quiet"]
+        assert cli.main(["train", *base, "--epochs", "2"]) == 0
+        capsys.readouterr()
+        verbs = (corpus / "verb.vocab").read_text().splitlines()
+        (corpus / "verb.vocab").write_text("\n".join(verbs[1:] + verbs[:1]) + "\n")
+        code, _, err = run(capsys, "train", *base, "--epochs", "4",
+                           "--resume", str(tmp_path / "k" / "ckpt_epoch_2.bin"))
+        assert code == 1
+        assert "verb vocabulary differs" in err
+        assert not (tmp_path / "k" / "ckpt_epoch_3.bin").exists()
+
 
 class TestEval:
     def test_report_shape(self, mini_run, capsys):
@@ -203,6 +222,110 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "--ckpt", str(mini_run["ckpt"] / "ckpt_best.bin"))
         assert code == 1
         assert "empty input line" in err
+
+    def predict_recording(self, monkeypatch, capsys, ckpt, text):
+        """Run predict on ``text`` and keep what each forward call returned."""
+        calls = []
+        original = network.forward
+
+        def recording(params, batch):
+            verb, state, trace = original(params, batch)
+            calls.append((verb, state))
+            return verb, state, trace
+
+        monkeypatch.setattr(network, "forward", recording)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "predict", "--ckpt", str(ckpt))
+        return code, out, err, calls
+
+    @staticmethod
+    def sentences(corpus, count, seed):
+        words = (corpus / "text.vocab").read_text().split() + ["zzz"]
+        rng = np.random.default_rng(seed)
+        return [" ".join(rng.choice(words, size=rng.integers(1, 12)).tolist())
+                for _ in range(count)]
+
+    def test_groups_match_line_by_line(self, mini_run, capsys, monkeypatch):
+        ckpt = mini_run["ckpt"] / "ckpt_best.bin"
+        lines = self.sentences(mini_run["corpus"], 130, seed=5)
+        code, out, _, calls = self.predict_recording(monkeypatch, capsys, ckpt,
+                                                     "\n".join(lines) + "\n")
+        assert code == 0
+        assert [len(verb) for verb, _ in calls] == [1, 64, 64, 1]
+        grouped = out.splitlines()
+        batched_verb = np.concatenate([verb for verb, _ in calls])
+        batched_state = np.concatenate([state for _, state in calls])
+        for r, line in enumerate(lines):
+            code, alone, _, single = self.predict_recording(monkeypatch, capsys, ckpt, line + "\n")
+            assert code == 0
+            assert json.loads(alone) == json.loads(grouped[r])
+            assert np.allclose(single[0][0][0], batched_verb[r], rtol=0, atol=1e-12)
+            assert np.allclose(single[0][1][0], batched_state[r], rtol=0, atol=1e-12)
+
+    def test_lines_come_back_in_input_order(self, mini_run, capsys, monkeypatch):
+        lines = self.sentences(mini_run["corpus"], 130, seed=6)
+        # Mixed line ends, and a last line without one.
+        text = "".join(line + ("\r\n" if i % 3 else "\n") for i, line in enumerate(lines[:-1]))
+        code, out, _, _ = self.predict_recording(monkeypatch, capsys,
+                                                 mini_run["ckpt"] / "ckpt_best.bin",
+                                                 text + lines[-1])
+        assert code == 0
+        assert [json.loads(line)["tokens"] for line in out.splitlines()] == \
+            [line.split() for line in lines]
+
+    def test_blank_line_inside_a_group_prints_the_lines_before_it(self, mini_run, capsys,
+                                                                  monkeypatch):
+        lines = self.sentences(mini_run["corpus"], 6, seed=7)
+        text = "\n".join(lines[:4] + ["   "] + lines[4:]) + "\n"
+        code, out, err, calls = self.predict_recording(monkeypatch, capsys,
+                                                       mini_run["ckpt"] / "ckpt_best.bin", text)
+        assert code == 1
+        assert "empty input line" in err
+        assert [json.loads(line)["tokens"] for line in out.splitlines()] == \
+            [line.split() for line in lines[:4]]
+        assert [len(verb) for verb, _ in calls] == [1, 3]
+
+    def test_line_groups_over_chunked_bytes(self):
+        chunks = [b"ab", b"c\r", b"\nd\xc3", b"\xa9 e\n\rg\n", b"h\n" * 70, b"last"]
+
+        class Stream:
+            encoding, errors = "utf-8", "strict"
+
+            class buffer:
+                @staticmethod
+                def read1(size):
+                    return chunks.pop(0) if chunks else b""
+
+        groups = list(cli._line_groups(Stream()))
+        assert groups == [["abc"], ["d\u00e9 e", "", "g"], ["h"] * 64, ["h"] * 6, ["last"]]
+
+    def test_answers_each_line_on_a_live_pipe(self, mini_run):
+        # Line 2 is sent only after line 1's answer came back, and stdin stays
+        # open: the answer must not wait for more input or for the end.
+        src = str(Path(tanloss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])), TANLOSS_THREADS="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tanloss.cli", "predict", "--ckpt",
+             str(mini_run["ckpt"] / "ckpt_best.bin")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        answers = queue.Queue()
+        reader = threading.Thread(target=lambda: [answers.put(line) for line in proc.stdout],
+                                  daemon=True)
+        reader.start()
+        try:
+            for sentence in ("bake it slowly", "mix the batter"):
+                proc.stdin.write(sentence.encode() + b"\n")
+                proc.stdin.flush()
+                answer = json.loads(answers.get(timeout=60))
+                assert answer["tokens"] == sentence.split()
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+        reader.join(timeout=10)
+        assert answers.empty()
 
 
 class TestGradcheck:

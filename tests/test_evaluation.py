@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tanloss.corpus import Sample, SyntheticConfig, generate_synthetic_corpus, pad_batch
-from tanloss.evaluation import EvalReport, binarize, evaluate, one_missing_match
+from tanloss.evaluation import (EvalReport, _one_missing_rows, binarize, evaluate,
+                                one_missing_match)
 from tanloss.network import ModelSizes, forward, init_params
 
 index_sets = st.sets(st.integers(0, 6), max_size=5)
@@ -140,6 +141,48 @@ class TestEvaluate:
         reversed_report = evaluate(params, samples[::-1], pad_index=text_vocab.pad_index)
         assert forward_report.action_accuracy == reversed_report.action_accuracy
         assert forward_report.state_accuracy == reversed_report.state_accuracy
+
+    @pytest.mark.parametrize("mode", ["subset", "symmetric"])
+    def test_row_rule_matches_per_row_functions(self, mode):
+        rng = np.random.default_rng(5)
+        for density in (0.1, 0.5, 0.9):
+            pred_scores = rng.random((300, 6))
+            label = rng.random((300, 6)) < density
+            label[:20] = False                      # empty labels
+            pred_scores[10:20] = 0.0                # ... some with empty predictions
+            got = _one_missing_rows(pred_scores >= 0.5, label, mode)
+            want = [one_missing_match(binarize(pred_scores[r], 0.5),
+                                      set(np.flatnonzero(label[r]).tolist()), mode)
+                    for r in range(300)]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("mode", ["subset", "symmetric"])
+    def test_flags_match_per_row_functions(self, mode):
+        params = init_params(TOY, seed=4)
+        rng = np.random.default_rng(2)
+        samples = [Sample(tokens=rng.integers(0, 7, size=rng.integers(1, 7)).tolist(),
+                          verb_label=(rng.random(3) < 0.4).astype(float),
+                          state_label=(rng.random(3) < 0.4).astype(float))
+                   for _ in range(150)]
+        report = evaluate(params, samples, pad_index=7, threshold=0.45, mode=mode, batch_size=32)
+        want = []
+        for sample in samples:
+            verb, state, _ = forward(params, pad_batch([sample], pad_index=7))
+            want.append((
+                one_missing_match(binarize(verb[0], 0.45),
+                                  set(np.flatnonzero(sample.verb_label).tolist()), mode),
+                one_missing_match(binarize(state[0], 0.45),
+                                  set(np.flatnonzero(sample.state_label).tolist()), mode)))
+        assert report.per_sample_flags == want
+        assert report.action_accuracy == 100.0 * sum(v for v, _ in want) / 150
+        assert report.state_accuracy == 100.0 * sum(s for _, s in want) / 150
+
+    def test_bad_threshold_and_mode_rejected(self):
+        samples = samples_with_labels([([1, 0, 0], [0, 1, 0])])
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate(init_params(TOY, seed=0), samples, pad_index=7, threshold=1.0)
+        with pytest.raises(ValueError, match="mode"):
+            evaluate(init_params(TOY, seed=0), samples, pad_index=7, mode="loose")
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):

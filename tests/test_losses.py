@@ -205,16 +205,22 @@ class TestErrorEpsilon:
         assert gap <= bound + 1e-12
 
 
+def rows(pairs):
+    """A list of (verb, state) vector pairs as the (verb, state) pair of
+    matrices that batch_error takes."""
+    return tuple(np.array(head) for head in zip(*pairs))
+
+
 class TestBatchError:
     def test_perfect_predictions_score_zero(self):
         pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0]))] * 3
-        assert batch_error(pairs, [tuple(v.copy() for v in p) for p in pairs]) == 0.0
+        assert batch_error(rows(pairs), rows([tuple(v.copy() for v in p) for p in pairs])) == 0.0
 
     def test_one_perfect_head_leaves_the_other(self):
         y = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         p = (np.array([1.0, 0.0]), np.array([0.4, 0.6]))
         expected = error_epsilon(y[1], p[1])
-        assert batch_error([y], [p]) == pytest.approx(expected)
+        assert batch_error(rows([y]), rows([p])) == pytest.approx(expected)
 
     def test_mean_of_two_samples(self):
         y1 = (np.array([1.0, 0.0]), np.array([1.0, 0.0]))
@@ -223,13 +229,50 @@ class TestBatchError:
         p2 = (np.array([0.2, 0.8]), np.array([0.9, 0.1]))
         a = error_epsilon(y1[0], p1[0]) + error_epsilon(y1[1], p1[1])
         b = error_epsilon(y2[0], p2[0]) + error_epsilon(y2[1], p2[1])
-        assert batch_error([y1, y2], [p1, p2]) == pytest.approx((a + b) / 2)
+        assert batch_error(rows([y1, y2]), rows([p1, p2])) == pytest.approx((a + b) / 2)
 
     def test_empty_set_rejected(self):
+        empty = (np.zeros((0, 2)), np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
-            batch_error([], [])
+            batch_error(empty, empty)
 
     def test_length_mismatch_rejected(self):
         y = (np.array([1.0]), np.array([1.0]))
-        with pytest.raises(ValueError, match="pairs"):
-            batch_error([y], [])
+        with pytest.raises(ValueError, match="mismatch"):
+            batch_error(rows([y]), (np.zeros((0, 1)), np.zeros((0, 1))))
+        unpaired = (np.zeros((2, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="pair up"):
+            batch_error(unpaired, unpaired)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_row_error_epsilon(self, seed):
+        # Random rows, then extreme ones: saturated and huge predictions, a
+        # constant row, an all-ones label, and labels far from {0, 1}.
+        rng = np.random.default_rng(seed)
+        n, m_verb, m_state = 40, 7, 5
+        y_verb = rng.integers(0, 2, size=(n, m_verb)).astype(float)
+        y_state = rng.integers(0, 2, size=(n, m_state)).astype(float)
+        p_verb = rng.uniform(0, 1, size=(n, m_verb))
+        p_state = rng.uniform(0, 1, size=(n, m_state))
+        p_verb[0], p_state[0] = 1e3 * (2 * y_verb[0] - 1), -1e3 * (2 * y_state[0] - 1)
+        p_verb[1], p_state[1] = y_verb[1], 0.5
+        y_verb[2], p_verb[2] = 1.0, np.where(np.arange(m_verb) % 2, 1.0, 0.0)
+        y_state[3], p_state[3] = rng.uniform(-30, 30, m_state), rng.uniform(-700, 700, m_state)
+        p_verb[4] = rng.uniform(-1e300, 1e300, m_verb)
+        per_row = np.array([error_epsilon(y_verb[r], p_verb[r]) + error_epsilon(y_state[r], p_state[r])
+                            for r in range(n)])
+        for r in range(n):
+            one = batch_error((y_verb[r:r + 1], y_state[r:r + 1]),
+                              (p_verb[r:r + 1], p_state[r:r + 1]))
+            assert abs(one - per_row[r]) <= 1e-12 * max(1.0, per_row[r])
+        whole = batch_error((y_verb, y_state), (p_verb, p_state))
+        assert abs(whole - per_row.mean()) <= 1e-12 * max(1.0, per_row.mean())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        y = (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+        p = (np.array([[0.5, bad]]), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            batch_error(y, p)
+        with pytest.raises(ValueError, match="finite"):
+            batch_error(p, y)

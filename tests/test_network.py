@@ -411,6 +411,76 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "missing.bin")
 
+    def with_optimizer(self, seed=1):
+        params = init_params(TOY, seed=seed)
+        cache = {name: np.abs(arr) + 0.5 for name, arr in params.flat().items()}
+        return self.snapshot(params, rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
+                                              "cache": cache})
+
+    def test_parameters_only_load_matches_full_load(self, tmp_path):
+        save_checkpoint(self.with_optimizer(), tmp_path / "m.bin")
+        full = load_checkpoint(tmp_path / "m.bin")
+        light = load_checkpoint(tmp_path / "m.bin", optimizer=False)
+        assert full.rmsprop is not None and light.rmsprop is None
+        for name, arr in full.params.flat().items():
+            other = light.params.flat()[name]
+            assert arr.shape == other.shape and arr.tobytes() == other.tobytes()
+        assert (light.epoch, light.best_val_error, light.seeds) == \
+            (full.epoch, full.best_val_error, full.seeds)
+
+    def test_parameters_only_load_rejects_a_cut_optimizer_array(self, tmp_path):
+        save_checkpoint(self.with_optimizer(), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        # name, ndim byte and one u64 dim precede state_head.b2's float64 body
+        name = b"rmsprop.state_head.b2"
+        body = blob.index(name) + len(name) + 1 + 8
+        assert len(blob) == body + 8 * TOY.state_dim
+        for cut in (body - 3, body + 8):
+            (tmp_path / "cut.bin").write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(tmp_path / "cut.bin", optimizer=False)
+
+    def test_parameters_only_load_rejects_trailing_bytes(self, tmp_path):
+        save_checkpoint(self.with_optimizer(), tmp_path / "m.bin")
+        with (tmp_path / "m.bin").open("ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(tmp_path / "m.bin", optimizer=False)
+
+    def test_v1_file_written_from_the_format_loads(self, tmp_path):
+        import json
+        import struct
+
+        # A v1 file built byte by byte: magic, version, JSON metadata, then
+        # each array as u16 name length, name, u8 ndim, u64 dims and
+        # little-endian float64 data; the optimizer cache follows the
+        # parameters under "rmsprop.<name>".
+        rng = np.random.default_rng(4)
+        params = init_params(TOY, seed=3)
+        arrays = {name: arr.copy() for name, arr in params.flat().items()}
+        arrays.update({f"rmsprop.{name}": rng.random(arr.shape)
+                       for name, arr in params.flat().items()})
+        meta = json.dumps({"fingerprint": TOY.fingerprint(), "epoch": 4, "best_val_error": 0.5,
+                           "seeds": {"split": 0, "init": 3, "shuffle": 0},
+                           "rmsprop": {"lr": 1e-4, "rho": 0.9, "eps": 1e-8},
+                           "vocabs": None}).encode()
+        blob = [b"TANL", struct.pack("<II", 1, len(meta)), meta, struct.pack("<I", len(arrays))]
+        for name, arr in arrays.items():
+            blob += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim),
+                     struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
+        (tmp_path / "v1.bin").write_bytes(b"".join(blob))
+        batch = make_batch(TOY, [3, 5])
+        expected = forward(params, batch)[:2]
+        for optimizer in (True, False):
+            loaded = load_checkpoint(tmp_path / "v1.bin", optimizer=optimizer)
+            got = forward(loaded.params, batch)[:2]
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert loaded.epoch == 4 and loaded.best_val_error == 0.5
+        assert loaded.rmsprop is None
+        full = load_checkpoint(tmp_path / "v1.bin")
+        for name, arr in full.rmsprop["cache"].items():
+            assert np.array_equal(arr, arrays[f"rmsprop.{name}"])
+
     def test_fingerprint_mismatch_names_both_layouts(self):
         other = ModelSizes(input_dim=9, verb_dim=2, state_dim=2,
                            gru1_hidden=4, gru2_hidden=3, head_hidden=5)
