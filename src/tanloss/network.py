@@ -7,7 +7,13 @@ Conventions fixed here and relied on by the test suite:
   * Each GRU layer stores its gates fused: one W (3n x in), one U (3n x n)
     and one b (3n), with row blocks in [z; r; h] order.  W_z ... b_h are
     row-block views into these arrays, never copies, so writing through a
-    view changes the model.  Gradients come back in the same layout.
+    view changes the model.
+  * All parameters live in one flat float64 buffer (``ModelParams.data``),
+    in checkpoint order: gru1 W, U, b, gru2 W, U, b, verb head, state head.
+    The fused arrays are slices of it, so the per-gate arrays tile it in
+    the order the checkpoint stores them.  ``backward`` writes every
+    gradient into a second buffer with the same layout, and the RMSProp
+    cache is a third, so an optimizer step is a pass over three buffers.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
   * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
@@ -30,9 +36,11 @@ Everything is float64 so finite-difference gradient checks are meaningful.
 import io
 import json
 import math
+import os
+import re
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +89,17 @@ class ModelSizes:
             f"-head{self.head_hidden}-v{self.verb_dim}-s{self.state_dim}"
         )
 
+    @classmethod
+    def from_fingerprint(cls, fingerprint) -> "ModelSizes | None":
+        """The sizes a ``fingerprint()`` string names; None if it is not one."""
+        found = re.fullmatch(r"in(\d+)-gru(\d+)x(\d+)-head(\d+)-v(\d+)-s(\d+)",
+                             str(fingerprint))
+        if found is None:
+            return None
+        inp, gru1, gru2, head, verb, state = map(int, found.groups())
+        return cls(input_dim=inp, verb_dim=verb, state_dim=state, gru1_hidden=gru1,
+                   gru2_hidden=gru2, head_hidden=head)
+
 
 def _gate_view(kind: str, gate: int) -> property:
     def view(self) -> np.ndarray:
@@ -126,21 +145,52 @@ class MlpHeadParams:
 
 @dataclass
 class ModelParams:
+    """Every parameter in one contiguous float64 buffer, ``data``, laid out
+    in checkpoint order: gru1 W, U, b, gru2 W, U, b, then each head's W1,
+    b1, W2, b2.  The fields are views into it, and so are the per-gate
+    arrays, which tile it in the same order.  Built from arrays that do not
+    already tile one buffer, it packs copies of them into a new one."""
+
     gru1: GruLayerParams
     gru2: GruLayerParams
     verb_head: MlpHeadParams
     state_head: MlpHeadParams
 
+    def __post_init__(self):
+        arrays = self._arrays()
+        self.data, views = as_flat(arrays)
+        if views is not arrays:
+            self.gru1, self.gru2, self.verb_head, self.state_head = _groups(views)
+
+    @classmethod
+    def new(cls, sizes: ModelSizes, alloc=np.zeros) -> "ModelParams":
+        """Parameters of the given sizes over a new buffer from ``alloc``."""
+        shapes = _shapes(sizes)
+        return cls._over(alloc(sum(map(math.prod, shapes))), shapes)
+
+    @classmethod
+    def _over(cls, data: np.ndarray, shapes) -> "ModelParams":
+        # Views of ``data`` tile it by construction: no need to check them.
+        params = cls.__new__(cls)
+        params.gru1, params.gru2, params.verb_head, params.state_head = _groups(
+            _split(data, shapes))
+        params.data = data
+        return params
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(part, f.name) for part in (self.gru1, self.gru2, self.verb_head,
+                                                   self.state_head) for f in fields(part)]
+
+    def like(self, data: np.ndarray) -> "ModelParams":
+        """This layout over another flat buffer, such as a gradient buffer."""
+        return self._over(data, [a.shape for a in self._arrays()])
+
     def flat(self) -> dict[str, np.ndarray]:
-        """Ordered name -> array view of every parameter."""
-        out: dict[str, np.ndarray] = {}
-        for prefix, layer in (("gru1", self.gru1), ("gru2", self.gru2)):
-            for name in GRU_NAMES:
-                out[f"{prefix}.{name}"] = getattr(layer, name)
-        for prefix, head in (("verb_head", self.verb_head), ("state_head", self.state_head)):
-            for name in HEAD_NAMES:
-                out[f"{prefix}.{name}"] = getattr(head, name)
-        return out
+        """Ordered name -> array view of every parameter (PARAM_NAMES)."""
+        return dict(zip(PARAM_NAMES, [getattr(layer, n) for layer in (self.gru1, self.gru2)
+                                      for n in GRU_NAMES]
+                        + [getattr(head, n) for head in (self.verb_head, self.state_head)
+                           for n in HEAD_NAMES]))
 
     def sizes(self) -> ModelSizes:
         return ModelSizes(
@@ -153,23 +203,54 @@ class ModelParams:
         )
 
     def copy(self) -> "ModelParams":
-        return _map_arrays(self, np.copy)
+        return self.like(self.data.copy())
 
 
-def _map_arrays(params: ModelParams, fn) -> ModelParams:
-    """A ModelParams of ``fn`` applied to every fused array."""
-    def layer(g):
-        return GruLayerParams.fused(fn(g.W), fn(g.U), fn(g.b))
+def _shapes(s: ModelSizes) -> list[tuple[int, ...]]:
+    """Shapes of the fused arrays, in buffer order."""
+    def gru(n, inp):
+        return [(3 * n, inp), (3 * n, n), (3 * n,)]
 
-    def head(h):
-        return MlpHeadParams(*(fn(getattr(h, n)) for n in HEAD_NAMES))
+    def head(out):
+        return [(s.head_hidden, s.gru2_hidden), (s.head_hidden,), (out, s.head_hidden), (out,)]
 
-    return ModelParams(gru1=layer(params.gru1), gru2=layer(params.gru2),
-                       verb_head=head(params.verb_head), state_head=head(params.state_head))
+    return (gru(s.gru1_hidden, s.input_dim) + gru(s.gru2_hidden, s.gru1_hidden)
+            + head(s.verb_dim) + head(s.state_dim))
+
+
+def _split(data: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the flat buffer ``data`` with the given shapes."""
+    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    return [data[end - math.prod(s):end].reshape(s) for end, s in zip(ends, shapes)]
+
+
+def _groups(arrays: list[np.ndarray]) -> tuple:
+    """The four fields of a ModelParams from its fused arrays in buffer order."""
+    return (GruLayerParams.fused(*arrays[:3]), GruLayerParams.fused(*arrays[3:6]),
+            MlpHeadParams(*arrays[6:10]), MlpHeadParams(*arrays[10:]))
+
+
+def as_flat(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous float64 buffer that ``arrays`` tile in order, and the
+    arrays as views of it: their own buffer when they already tile one (the
+    list is returned as given), else a new buffer holding copies."""
+    base = arrays[0].base
+    if isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64:
+        at = base.ctypes.data
+        for a in arrays:
+            if (a.base is not base or a.dtype != np.float64 or not a.flags.c_contiguous
+                    or a.ctypes.data != at):
+                break
+            at += a.nbytes
+        else:
+            if at == base.ctypes.data + base.nbytes:
+                return base, arrays
+    data = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    return data, _split(data, [np.shape(a) for a in arrays])
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return _map_arrays(params, np.zeros_like).flat()
+    return params.like(np.zeros_like(params.data)).flat()
 
 
 def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
@@ -178,37 +259,19 @@ def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
         if value <= 0:
             raise ValueError(f"size {field} must be positive, got {value}")
     rng = np.random.default_rng(seed)
-
-    def fill(out):
-        # In place, the same draws as rng.uniform(-limit, limit, out.shape).
+    params = ModelParams.new(sizes)
+    # Per gate and per head weight, in place, in the order and with the
+    # draws of rng.uniform(-limit, limit, shape).
+    weights = [getattr(layer, f"{kind}_{gate}") for layer in (params.gru1, params.gru2)
+               for kind in "WU" for gate in GATES]
+    weights += [getattr(head, n) for head in (params.verb_head, params.state_head)
+                for n in ("W1", "W2")]
+    for out in weights:
         limit = np.sqrt(6.0 / sum(out.shape))
         rng.random(out=out)
         out *= 2.0 * limit
         out -= limit
-        return out
-
-    def mat(rows, cols):
-        return fill(np.empty((rows, cols)))
-
-    def gru_layer(hidden, inp):
-        layer = GruLayerParams.fused(np.empty((3 * hidden, inp)),
-                                     np.empty((3 * hidden, hidden)), np.zeros(3 * hidden))
-        for name in ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h"):
-            fill(getattr(layer, name))
-        return layer
-
-    def mlp_head(out_dim, inp):
-        return MlpHeadParams(
-            W1=mat(sizes.head_hidden, inp), b1=np.zeros(sizes.head_hidden),
-            W2=mat(out_dim, sizes.head_hidden), b2=np.zeros(out_dim),
-        )
-
-    return ModelParams(
-        gru1=gru_layer(sizes.gru1_hidden, sizes.input_dim),
-        gru2=gru_layer(sizes.gru2_hidden, sizes.gru1_hidden),
-        verb_head=mlp_head(sizes.verb_dim, sizes.gru2_hidden),
-        state_head=mlp_head(sizes.state_dim, sizes.gru2_hidden),
-    )
+    return params
 
 
 def _cell(U: np.ndarray, h: np.ndarray | None, gates: np.ndarray, rh: np.ndarray,
@@ -364,14 +427,18 @@ def forward(params: ModelParams, batch):
     return verb_head[2], state_head[2], trace
 
 
-def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad):
-    """Gradients of one head and its gradient with respect to ``h_final``."""
+def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad,
+                   grads: MlpHeadParams) -> np.ndarray:
+    """Writes one head's gradients into ``grads``; returns its gradient with
+    respect to ``h_final``."""
     a_pre, a, out = head_trace
     d_opre = np.asarray(out_grad, dtype=np.float64) * out * (1.0 - out)
     d_a = (d_opre @ head.W2) * (a_pre > 0)
-    grads = MlpHeadParams(W1=d_a.T @ h_final, b1=d_a.sum(axis=0),
-                          W2=d_opre.T @ a, b2=d_opre.sum(axis=0))
-    return grads, d_a @ head.W1
+    np.matmul(d_a.T, h_final, out=grads.W1)
+    np.sum(d_a, axis=0, out=grads.b1)
+    np.matmul(d_opre.T, a, out=grads.W2)
+    np.sum(d_opre, axis=0, out=grads.b2)
+    return d_a @ head.W1
 
 
 def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
@@ -393,33 +460,43 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
     return deltas
 
 
-def _recurrent_grads(deltas: np.ndarray, lt: LayerTrace, dW: np.ndarray) -> GruLayerParams:
-    """U and b gradients of one layer as one GEMM over all packed steps."""
+def _recurrent_grads(deltas: np.ndarray, lt: LayerTrace, blocks: list,
+                     grads: GruLayerParams) -> None:
+    """Writes one layer's U and b gradients into ``grads``, each one GEMM or
+    sum over the packed steps.  Step 0 starts from the zero state, so its
+    rows of h_in and rh are zero and the U GEMMs start after them."""
     n = lt.h_in.shape[1]
-    dU = np.empty((3 * n, n))
-    np.matmul(deltas[:, :2 * n].T, lt.h_in, out=dU[:2 * n])
-    np.matmul(deltas[:, 2 * n:].T, lt.rh, out=dU[2 * n:])
-    return GruLayerParams.fused(dW, dU, deltas.sum(axis=0))
+    lo = blocks[1][0] if len(blocks) > 1 else len(deltas)
+    np.matmul(deltas[lo:, :2 * n].T, lt.h_in[lo:], out=grads.U[:2 * n])
+    np.matmul(deltas[lo:, 2 * n:].T, lt.rh[lo:], out=grads.U[2 * n:])
+    np.sum(deltas, axis=0, out=grads.b)
 
 
 def backward(params: ModelParams, batch, trace: ForwardTrace,
-             verb_out_grad: np.ndarray, state_out_grad: np.ndarray) -> dict[str, np.ndarray]:
+             verb_out_grad: np.ndarray, state_out_grad: np.ndarray,
+             out: ModelParams | None = None) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the batch-summed loss with respect to
-    every parameter, given dLoss/dOutput for each head.  The GRU gradients
-    are per-gate views of fused [z; r; h] buffers."""
+    every parameter, given dLoss/dOutput for each head.
+
+    Every gradient is written in place into ``out``, a gradient buffer laid
+    out like ``params`` (see ``ModelParams.like``; a new one when None), and
+    the per-gate name -> view mapping of it is returned.
+    """
     if trace.token_matrix is not batch.token_matrix and not np.array_equal(
         trace.token_matrix, batch.token_matrix
     ):
         raise ValueError("trace does not belong to this batch")
+    grads = params.like(np.empty_like(params.data)) if out is None else out
     g1, g2 = params.gru1, params.gru2
-    verb, dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
-                                   verb_out_grad)
-    state, dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
-                                     state_out_grad)
+    dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
+                             verb_out_grad, grads.verb_head)
+    dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
+                              state_out_grad, grads.state_head)
 
     dh2 = (dh_verb + dh_state)[trace.order]
     d2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2)
-    gru2 = _recurrent_grads(d2, trace.gru2, d2.T @ trace.gru1.h_out)
+    np.matmul(d2.T, trace.gru1.h_out, out=grads.gru2.W)
+    _recurrent_grads(d2, trace.gru2, trace.blocks, grads.gru2)
     dx1 = d2 @ g2.W
     del d2
 
@@ -430,10 +507,10 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     present, which = np.unique(trace.tokens, return_inverse=True)
     one_hot = np.zeros((len(present), len(trace.tokens)))
     one_hot[which, np.arange(len(trace.tokens))] = 1.0
-    dW1 = np.zeros_like(g1.W)
-    dW1[:, present] = (one_hot @ d1).T
-    gru1 = _recurrent_grads(d1, trace.gru1, dW1)
-    return ModelParams(gru1=gru1, gru2=gru2, verb_head=verb, state_head=state).flat()
+    grads.gru1.W.fill(0.0)
+    grads.gru1.W[:, present] = (one_hot @ d1).T
+    _recurrent_grads(d1, trace.gru1, trace.blocks, grads.gru1)
+    return grads.flat()
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +532,10 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` as a v1 file, one header and body per array, straight
+    from its arrays.  The file is written under a temporary name in the same
+    directory and renamed over ``path`` only when complete, so an error or a
+    crash mid-write leaves any earlier file at ``path`` as it was."""
     arrays = dict(ckpt.params.flat())
     rmsprop_meta = None
     if ckpt.rmsprop is not None:
@@ -470,23 +551,33 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "vocabs": ckpt.vocabs,
     }
     meta_bytes = json.dumps(meta).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<II", CKPT_VERSION, len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_bytes)))
+                fh.write(name_bytes)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Stream a checkpoint from disk, reading each array straight into its
-    final place: a GRU gate into its row block of the layer's fused array.
+    place in one flat parameter buffer (see ``ModelParams``) and, for the
+    optimizer, one cache buffer with the same layout: no second copy.  The
+    buffers are laid out from the layout fingerprint in the metadata; every
+    stored array must then have the shape the layout gives it.
 
     With ``optimizer=False`` the body of every ``rmsprop.*`` array is skipped
     (its header and size are still checked) and ``rmsprop`` is None: what
@@ -496,23 +587,6 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     size = path.stat().st_size
-    fused: dict[tuple[str, str], np.ndarray] = {}
-    arrays: dict[str, np.ndarray] = {}
-
-    def destination(name: str, shape: tuple) -> np.ndarray:
-        prefix, _, leaf = name.partition(".")
-        if prefix not in ("gru1", "gru2") or leaf not in GRU_NAMES or not shape:
-            arrays[name] = np.empty(shape)
-            return arrays[name]
-        n, key = shape[0], (prefix, leaf[0])
-        if key not in fused:
-            fused[key] = np.empty((3 * n,) + shape[1:])
-        if fused[key].shape != (3 * n,) + shape[1:]:
-            raise CheckpointError(f"{name} has shape {shape}, unlike the other gates")
-        i = GATES.index(leaf[-1])
-        arrays[name] = fused[key][i * n:(i + 1) * n]
-        return arrays[name]
-
     with path.open("rb") as fh:
         def take(n):
             chunk = fh.read(n)
@@ -526,19 +600,30 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         if version != CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
         meta = json.loads(take(meta_len).decode("utf-8"))
+        sizes = ModelSizes.from_fingerprint(meta.get("fingerprint"))
+        params = cache = None
+        places: dict[str, np.ndarray] = {}
+        if sizes is not None:
+            params = ModelParams.new(sizes, np.empty)
+            places = params.flat()
+            if optimizer and meta.get("rmsprop") is not None:
+                cache = params.like(np.empty_like(params.data)).flat()
+                places.update((f"rmsprop.{name}", arr) for name, arr in cache.items())
         (n_arrays,) = struct.unpack("<I", take(4))
         for _ in range(n_arrays):
             (name_len,) = struct.unpack("<H", take(2))
             name = take(name_len).decode("utf-8")
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-            # Check the size against the file before allocating for it.
+            # Check the size against the file before reading or skipping it.
             if 8 * math.prod(shape) > size - fh.tell():
                 raise CheckpointError(f"truncated checkpoint: {path}")
-            if not optimizer and name.startswith("rmsprop."):
+            arr = places.pop(name, None)
+            if arr is None:     # rmsprop.* for inference, or an unknown array
                 fh.seek(8 * math.prod(shape), io.SEEK_CUR)
                 continue
-            arr = destination(name, shape)
+            if shape != arr.shape:
+                raise CheckpointError(f"{name} has shape {shape}, expected {arr.shape}")
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint: {path}")
             if sys.byteorder != "little":
@@ -546,22 +631,13 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         if fh.read(1):
             raise CheckpointError(f"trailing bytes in checkpoint: {path}")
 
-    for name in PARAM_NAMES:
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing parameter array {name!r}")
+    if sizes is None:
+        raise CheckpointError(f"unrecognized layout fingerprint {meta.get('fingerprint')!r} "
+                              f"in {path}")
+    for name in places:
+        kind = "optimizer" if name.startswith("rmsprop.") else "parameter"
+        raise CheckpointError(f"checkpoint missing {kind} array {name!r}")
 
-    def layer(prefix):
-        return GruLayerParams.fused(*(fused[(prefix, kind)] for kind in "WUb"))
-
-    def head(prefix):
-        return MlpHeadParams(*(arrays[f"{prefix}.{n}"] for n in HEAD_NAMES))
-
-    params = ModelParams(gru1=layer("gru1"), gru2=layer("gru2"),
-                         verb_head=head("verb_head"), state_head=head("state_head"))
-    rmsprop = None
-    if optimizer and meta.get("rmsprop") is not None:
-        cache = {k[len("rmsprop."):]: v for k, v in arrays.items() if k.startswith("rmsprop.")}
-        rmsprop = dict(meta["rmsprop"], cache=cache)
     best = meta["best_val_error"]
     return Checkpoint(
         params=params,
@@ -569,7 +645,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         best_val_error=np.inf if best is None else float(best),
         config_fingerprint=meta["fingerprint"],
         seeds=meta["seeds"],
-        rmsprop=rmsprop,
+        rmsprop=None if cache is None else dict(meta["rmsprop"], cache=cache),
         vocabs=meta.get("vocabs"),
     )
 
@@ -613,31 +689,23 @@ def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
                 + tangent_loss(batch.state_labels, state_pred))
 
     verb_pred, state_pred, trace = forward(params, batch)
-    grads = backward(params, batch, trace,
-                     tangent_loss_grad(batch.verb_labels, verb_pred),
-                     tangent_loss_grad(batch.state_labels, state_pred))
+    grads = params.like(np.empty_like(params.data))
+    backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb_pred),
+             tangent_loss_grad(batch.state_labels, state_pred), out=grads)
     if corrupt_backward:
-        grads = {k: v * 1.01 for k, v in grads.items()}
+        grads.data *= 1.01
 
-    flat = params.flat()
-    names = list(flat.keys())
-    total = sum(flat[n].size for n in names)
-    coords = rng.choice(total, size=min(n_coords, total), replace=False)
-    offsets = np.cumsum([flat[n].size for n in names])
-
+    theta = params.data
     worst = 0.0
-    for coord in coords:
-        which = int(np.searchsorted(offsets, coord, side="right"))
-        inner = int(coord - (offsets[which - 1] if which else 0))
-        arr = flat[names[which]]
-        original = arr.flat[inner]
-        arr.flat[inner] = original + step
+    for coord in rng.choice(theta.size, size=min(n_coords, theta.size), replace=False):
+        original = theta[coord]
+        theta[coord] = original + step
         up = total_loss(params)
-        arr.flat[inner] = original - step
+        theta[coord] = original - step
         down = total_loss(params)
-        arr.flat[inner] = original
+        theta[coord] = original
         fd = (up - down) / (2.0 * step)
-        analytic = grads[names[which]].flat[inner]
+        analytic = grads.data[coord]
         rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
         worst = max(worst, rel)
     return worst

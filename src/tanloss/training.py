@@ -4,6 +4,16 @@ improvement, and exact resume.
 
 Epoch shuffling is reseeded as shuffle_seed + epoch, so a run resumed from a
 checkpoint at epoch k replays epochs k+1..N exactly as a straight run would.
+
+Memory: the parameters, one gradient buffer (allocated once and filled by
+every ``backward``) and the RMSProp cache are one flat buffer each.  Every
+checkpoint is written straight from the live buffers.  The best checkpoint
+shares them until the next update; only then is the state copied, with
+``np.copyto``, into one best copy that is allocated at the first such update
+and refilled after that.  So a run whose only improving validation is its
+last never copies, and no run holds more than one best copy.  Each epoch's
+log record is appended to ``train_log.jsonl`` and flushed when the epoch
+ends.
 """
 
 import json
@@ -71,6 +81,10 @@ class TrainLogRecord:
 
 @dataclass
 class TrainResult:
+    """``best`` is the checkpoint of the lowest validation error.  When the
+    last validation was that best and no update followed, it shares its
+    arrays with ``final_params`` and ``final_state``, not copies of them."""
+
     best: Checkpoint | None
     records: list[TrainLogRecord]
     final_params: ModelParams
@@ -139,16 +153,21 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
-    def snapshot(epoch: int, err: float) -> Checkpoint:
+    def checkpoint(epoch: int, err: float) -> Checkpoint:
+        """The live state, not a copy of it."""
         return Checkpoint(
-            params=params.copy(), epoch=epoch, best_val_error=err,
+            params=params, epoch=epoch, best_val_error=err,
             config_fingerprint=sizes.fingerprint(), seeds=seeds,
-            rmsprop={"lr": opt.lr, "rho": opt.rho, "eps": opt.eps,
-                     "cache": {k: v.copy() for k, v in opt.cache.items()}},
+            rmsprop={"lr": opt.lr, "rho": opt.rho, "eps": opt.eps, "cache": opt.cache},
             vocabs=_vocab_meta(text_vocab, verb_vocab, state_vocab),
         )
 
+    grads = params.like(np.empty_like(params.data))
     best_ckpt: Checkpoint | None = None
+    # The best checkpoint shares the live buffers until the next update;
+    # only then is it copied, into buffers allocated once and refilled.
+    best_is_live = False
+    best_copy: tuple[ModelParams, ModelParams] | None = None
     records: list[TrainLogRecord] = []
     n_train = len(split.train)
 
@@ -165,10 +184,19 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             if config.batch_reduction == "mean":
                 verb_grad = verb_grad / len(batch)
                 state_grad = state_grad / len(batch)
-            grads = backward(params, batch, trace, verb_grad, state_grad)
-            rmsprop_step(params, grads, opt, clip=config.grad_clip)
-            # Free them before the next batch, or the snapshot, allocates its own.
-            del trace, grads
+            backward(params, batch, trace, verb_grad, state_grad, out=grads)
+            # Free it before the next batch, or the best copy, allocates.
+            del trace
+            if best_is_live:
+                if best_copy is None:
+                    best_copy = params.copy(), params.like(opt.data.copy())
+                else:
+                    np.copyto(best_copy[0].data, params.data)
+                    np.copyto(best_copy[1].data, opt.data)
+                best_ckpt.params = best_copy[0]
+                best_ckpt.rmsprop["cache"] = best_copy[1].flat()
+                best_is_live = False
+            rmsprop_step(params, grads.data, opt, clip=config.grad_clip)
 
         val_err = None
         saved = False
@@ -177,12 +205,12 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
                                        batch_size=config.batch_size)
             if val_err < best_err:
                 best_err = val_err
-                best_ckpt = snapshot(epoch, val_err)
-                saved = True
+                best_ckpt = checkpoint(epoch, val_err)
+                best_is_live = saved = True
                 if ckpt_dir is not None:
                     _write_with_context(best_ckpt, ckpt_dir / "ckpt_best.bin")
         if config.keep_all and ckpt_dir is not None:
-            _write_with_context(snapshot(epoch, best_err), ckpt_dir / f"ckpt_epoch_{epoch}.bin")
+            _write_with_context(checkpoint(epoch, best_err), ckpt_dir / f"ckpt_epoch_{epoch}.bin")
 
         records.append(TrainLogRecord(
             epoch=epoch,
@@ -191,11 +219,10 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             checkpoint_saved=saved,
             wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
         ))
+        if ckpt_dir is not None:
+            with (ckpt_dir / "train_log.jsonl").open("a", encoding="utf-8") as fh:
+                fh.write(records[-1].to_json() + "\n")
 
-    if ckpt_dir is not None:
-        with (ckpt_dir / "train_log.jsonl").open("a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(record.to_json() + "\n")
     return TrainResult(best=best_ckpt, records=records, final_params=params, final_state=opt)
 
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import tanloss.network as network
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
-from tanloss.network import (Checkpoint, CheckpointError, GruLayerParams, ModelSizes, backward,
-                             check_fingerprint, forward, gradient_check, gru_step, init_params,
-                             load_checkpoint, save_checkpoint, zero_grads)
+from tanloss.network import (GRU_NAMES, Checkpoint, CheckpointError, GruLayerParams,
+                             MlpHeadParams, ModelParams, ModelSizes, backward, check_fingerprint,
+                             forward, gradient_check, gru_step, init_params, load_checkpoint,
+                             save_checkpoint, zero_grads)
 
 TOY = ModelSizes(input_dim=6, verb_dim=2, state_dim=2, gru1_hidden=3, gru2_hidden=2, head_hidden=4)
 
@@ -93,7 +95,7 @@ class TestFusedLayout:
                     assert fused.shape[0] == 3 * n and fused.flags.c_contiguous
                     for i, gate in enumerate("zrh"):
                         view = getattr(layer, f"{kind}_{gate}")
-                        assert view.base is fused
+                        assert view.base is params.data and fused.base is params.data
                         assert np.shares_memory(view, fused[i * n:(i + 1) * n])
 
     def test_gradients_come_back_as_views_of_fused_buffers(self):
@@ -107,6 +109,60 @@ class TestFusedLayout:
                 views = [grads[f"{layer}.{kind}_{gate}"] for gate in "zrh"]
                 assert views[0].base is not None
                 assert all(v.base is views[0].base for v in views)
+
+
+class TestFlatBuffer:
+    def test_separate_arrays_are_packed_into_one_buffer(self):
+        params = init_params(TOY, seed=3)
+        rebuilt = ModelParams(
+            gru1=GruLayerParams(*(getattr(params.gru1, n).copy() for n in GRU_NAMES)),
+            gru2=GruLayerParams(*(getattr(params.gru2, n).copy() for n in GRU_NAMES)),
+            verb_head=MlpHeadParams(*(a.copy() for a in vars(params.verb_head).values())),
+            state_head=MlpHeadParams(*(a.copy() for a in vars(params.state_head).values())))
+        assert rebuilt.data.tobytes() == params.data.tobytes()
+        for name, view in rebuilt.flat().items():
+            assert view.base is rebuilt.data, name
+        # Arrays that already tile one buffer are adopted, not copied.
+        again = ModelParams(params.gru1, params.gru2, params.verb_head, params.state_head)
+        assert again.data is params.data
+
+    def test_loaded_parameters_and_cache_are_one_buffer_each(self, tmp_path):
+        params = init_params(TOY, seed=3)
+        cache = {name: np.abs(arr) + 0.5 for name, arr in params.flat().items()}
+        save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5,
+                                   config_fingerprint=TOY.fingerprint(), seeds={},
+                                   rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
+                                            "cache": cache}),
+                        tmp_path / "m.bin")
+        loaded = load_checkpoint(tmp_path / "m.bin")
+        assert loaded.params.data.tobytes() == params.data.tobytes()
+        assert all(v.base is loaded.params.data for v in loaded.params.flat().values())
+        views = list(loaded.rmsprop["cache"].values())
+        assert views[0].base.size == params.data.size
+        assert all(v.base is views[0].base for v in views)
+
+    def test_backward_fills_the_given_buffer(self):
+        params = init_params(TOY, seed=2)
+        batch = make_batch(TOY, [3, 5, 1])
+        verb, state, trace = forward(params, batch)
+        args = (params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                tangent_loss_grad(batch.state_labels, state))
+        out = params.like(np.full_like(params.data, np.nan))
+        grads = backward(*args, out=out)
+        assert all(v.base is out.data for v in grads.values())
+        fresh = backward(*args)
+        assert out.data.tobytes() == np.concatenate([g.ravel() for g in fresh.values()]).tobytes()
+
+    def test_one_step_batch_has_zero_recurrent_gradients(self):
+        params = init_params(TOY, seed=2)
+        batch = make_batch(TOY, [1, 1], pad_to=4)
+        verb, state, trace = forward(params, batch)
+        out = params.like(np.full_like(params.data, np.nan))
+        backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                 tangent_loss_grad(batch.state_labels, state), out=out)
+        for layer in (out.gru1, out.gru2):
+            assert np.all(layer.U == 0) and np.any(layer.b != 0)
+        assert np.all(np.isfinite(out.data))
 
 
 class TestGruStep:
@@ -406,6 +462,61 @@ class TestCheckpoint:
         (tmp_path / "renamed.bin").write_bytes(blob.replace(b"gru2.U_r", b"gru2.X_r"))
         with pytest.raises(CheckpointError, match=r"missing parameter array 'gru2\.U_r'"):
             load_checkpoint(tmp_path / "renamed.bin")
+
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt_best.bin"
+        save_checkpoint(self.snapshot(init_params(TOY, seed=1)), path)
+        before = path.read_bytes()
+        # The disk fills up inside gru2.W_z's body.
+        cut = before.index(b"gru2.W_z") + len(b"gru2.W_z") + 1 + 16 + 8 * 5
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.room = fh, cut
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.fh.write(data[:self.room])
+                if len(data) > self.room:
+                    raise OSError(28, "No space left on device")
+                self.room -= len(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(network, "open", lambda *a, **k: FullDisk(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(self.snapshot(init_params(TOY, seed=2), epoch=4), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt_best.bin"]
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 3
+
+    def test_missing_optimizer_array_named(self, tmp_path):
+        save_checkpoint(self.with_optimizer(), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        renamed = blob.replace(b"rmsprop.gru1.b_r", b"rmsprop.gru1.X_r")
+        (tmp_path / "renamed.bin").write_bytes(renamed)
+        with pytest.raises(CheckpointError, match=r"missing optimizer array 'rmsprop\.gru1"):
+            load_checkpoint(tmp_path / "renamed.bin")
+        assert load_checkpoint(tmp_path / "renamed.bin", optimizer=False).rmsprop is None
+
+    def test_arrays_must_match_the_fingerprinted_layout(self, tmp_path):
+        save_checkpoint(self.snapshot(init_params(TOY, seed=1)), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        fingerprint = TOY.fingerprint().encode()
+        (tmp_path / "other.bin").write_bytes(
+            blob.replace(fingerprint, fingerprint.replace(b"head4", b"head5")))
+        with pytest.raises(CheckpointError, match=r"verb_head\.W1 has shape \(4, 2\)"):
+            load_checkpoint(tmp_path / "other.bin")
+        (tmp_path / "garbled.bin").write_bytes(blob.replace(fingerprint, b"x" * len(fingerprint)))
+        with pytest.raises(CheckpointError, match="unrecognized layout fingerprint"):
+            load_checkpoint(tmp_path / "garbled.bin")
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):

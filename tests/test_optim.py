@@ -1,10 +1,13 @@
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tanloss.network import ModelSizes, init_params, zero_grads
+import tanloss.optim as optim
+from tanloss.network import PARAM_NAMES, ModelSizes, init_params, zero_grads
 from tanloss.optim import RmsPropState, rmsprop_step
 
 mp.mp.dps = 40
@@ -99,3 +102,44 @@ def test_clip_bounds_effective_gradient():
     rmsprop_step(params, grads, state, clip=1.0)
     expected = state.lr / (np.sqrt(0.1) + state.eps)
     assert abs(params.gru1.b_z[0]) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("block", [7, optim.BLOCK])
+@pytest.mark.parametrize("clip", [None, 0.5])
+@pytest.mark.parametrize("flat", [False, True])
+def test_flat_step_equals_the_per_array_formula_bit_for_bit(block, clip, flat, monkeypatch):
+    # A block of 7 elements cuts across every array boundary.
+    monkeypatch.setattr(optim, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    params, state = fresh()
+    params.data[:] = rng.normal(size=params.data.size)
+    state.data[:] = rng.random(state.data.size)
+    grads = {name: rng.normal(size=arr.shape) * 10.0 ** rng.integers(-4, 4)
+             for name, arr in params.flat().items()}
+    expected = {}
+    for name, theta in params.flat().items():
+        g = grads[name] if clip is None else np.clip(grads[name], -clip, clip)
+        cache = state.rho * state.cache[name] + (1.0 - state.rho) * (g * g)
+        expected[name] = (theta - g / (np.sqrt(cache) + state.eps) * state.lr, cache)
+    if flat:
+        grads = np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
+    rmsprop_step(params, grads, state, clip=clip)
+    for name, (theta, cache) in expected.items():
+        assert params.flat()[name].tobytes() == theta.tobytes(), name
+        assert state.cache[name].tobytes() == cache.tobytes(), name
+
+
+@pytest.mark.parametrize("name", PARAM_NAMES)
+def test_non_finite_gradient_in_any_array_is_named_and_moves_nothing(name):
+    params, state = fresh()
+    rng = np.random.default_rng(len(name))
+    state.data[:] = rng.random(state.data.size)
+    grads = params.like(rng.normal(size=params.data.size))
+    view = grads.flat()[name]
+    coord = tuple(int(rng.integers(d)) for d in view.shape)
+    view[coord] = np.inf if rng.random() < 0.5 else np.nan
+    before = params.data.copy(), state.data.copy()
+    with pytest.raises(ValueError, match=re.escape(f"{name}{list(coord)}")):
+        rmsprop_step(params, grads.data, state)
+    assert params.data.tobytes() == before[0].tobytes()
+    assert state.data.tobytes() == before[1].tobytes()

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import tanloss.training as training
 from tanloss.corpus import (DataError, DatasetSplit, Sample, SyntheticConfig,
                             generate_synthetic_corpus, split_dataset)
 from tanloss.losses import tangent_loss
-from tanloss.network import CheckpointError
+from tanloss.network import CheckpointError, load_checkpoint
 from tanloss.training import TrainConfig, resume, total_loss, train
 
 
@@ -23,6 +26,36 @@ def tiny_config(**overrides):
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
+
+
+def digest(obj) -> str:
+    """Hash of every array and scalar reachable through dataclass fields,
+    dicts and lists: equal for a checkpoint and its reloaded file."""
+    h = hashlib.sha256()
+
+    def walk(x, path):
+        if isinstance(x, np.ndarray):
+            h.update(f"{path}{x.dtype.str}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).data)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name), f"{path}.{f.name}")
+        elif isinstance(x, dict):
+            for key in sorted(x):
+                walk(x[key], f"{path}[{key}]")
+        elif isinstance(x, (list, tuple)):
+            for i, item in enumerate(x):
+                walk(item, f"{path}[{i}]")
+        else:
+            h.update(f"{path}={x!r};".encode())
+
+    walk(obj, "")
+    return h.hexdigest()
+
+
+def strip_wall_time(path):
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_time_ms"}
+            for line in path.read_text().splitlines()]
 
 
 class TestTotalLoss:
@@ -111,19 +144,13 @@ class TestProtocol:
 
 
 class TestDeterminism:
-    def strip_wall_time(self, path):
-        return [
-            {k: v for k, v in json.loads(line).items() if k != "wall_time_ms"}
-            for line in path.read_text().splitlines()
-        ]
-
     def test_identical_configs_give_identical_logs(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
         logs = []
         for name in ("a", "b"):
             config = tiny_config(epochs=8, checkpoint_dir=str(tmp_path / name))
             train(config, split, vocabs)
-            logs.append(self.strip_wall_time(tmp_path / name / "train_log.jsonl"))
+            logs.append(strip_wall_time(tmp_path / name / "train_log.jsonl"))
         assert logs[0] == logs[1]
 
 
@@ -164,3 +191,88 @@ class TestResume:
         with pytest.raises(CheckpointError, match="does not match"):
             resume(tmp_path / "ckpt_epoch_2.bin", tiny_config(epochs=4, gru1_hidden=7),
                    split, vocabs)
+
+
+class TestCheckpointsAndLog:
+    def test_earlier_best_is_kept_apart_from_the_final_state(self, tiny_task, tmp_path,
+                                                             monkeypatch):
+        split, vocabs = tiny_task
+        errors = iter([3.0, 2.0, 2.5])
+        monkeypatch.setattr(training, "validation_error", lambda *a, **k: next(errors))
+        result = train(tiny_config(epochs=6, checkpoint_dir=str(tmp_path)), split, vocabs)
+        assert result.best.epoch == 4
+        assert digest(result.best) == digest(load_checkpoint(tmp_path / "ckpt_best.bin"))
+        assert result.best.params.data.tobytes() != result.final_params.data.tobytes()
+        assert not np.shares_memory(result.best.params.data, result.final_params.data)
+
+    def test_best_at_the_last_validation_shares_the_final_state(self, tiny_task, tmp_path):
+        split, vocabs = tiny_task
+        result = train(tiny_config(epochs=2, checkpoint_dir=str(tmp_path)), split, vocabs)
+        assert result.best.epoch == 2
+        assert result.best.params is result.final_params
+        assert digest(result.best) == digest(load_checkpoint(tmp_path / "ckpt_best.bin"))
+
+    def test_each_epoch_checkpoint_is_that_epochs_final_state(self, tiny_task, tmp_path):
+        split, vocabs = tiny_task
+        train(tiny_config(epochs=4, keep_all=True, checkpoint_dir=str(tmp_path)), split, vocabs)
+        for k in range(1, 5):
+            stopped = train(tiny_config(epochs=k), split, vocabs)
+            saved = load_checkpoint(tmp_path / f"ckpt_epoch_{k}.bin")
+            assert saved.epoch == k
+            assert saved.best_val_error == (stopped.best.best_val_error if stopped.best
+                                            else np.inf)
+            assert saved.params.data.tobytes() == stopped.final_params.data.tobytes()
+            for name, arr in stopped.final_state.cache.items():
+                assert saved.rmsprop["cache"][name].tobytes() == arr.tobytes(), (k, name)
+
+    def test_log_keeps_the_epochs_finished_before_a_failure(self, tiny_task, tmp_path,
+                                                            monkeypatch):
+        split, vocabs = tiny_task
+        train(tiny_config(epochs=4, checkpoint_dir=str(tmp_path / "straight")), split, vocabs)
+        make_batches = training.make_batches
+        log = tmp_path / "failed" / "train_log.jsonl"
+        on_disk = []
+
+        def failing_in_epoch_3(samples, batch_size, seed, **kwargs):
+            batches = make_batches(samples, batch_size, seed=seed, **kwargs)
+            if seed == 3:       # shuffle_seed 0 + epoch 3: fail after one batch
+                on_disk.append(strip_wall_time(log))
+                yield batches[0]
+                raise RuntimeError("injected failure")
+            yield from batches
+
+        monkeypatch.setattr(training, "make_batches", failing_in_epoch_3)
+        with pytest.raises(RuntimeError, match="injected"):
+            train(tiny_config(epochs=4, checkpoint_dir=str(log.parent)), split, vocabs)
+        straight = strip_wall_time(tmp_path / "straight" / "train_log.jsonl")
+        # Epochs 1-2 were on disk while epoch 3 ran, and nothing came after.
+        assert on_disk == [straight[:2]]
+        assert strip_wall_time(log) == straight[:2]
+
+
+class TestPeakMemory:
+    """At these sizes the parameters dominate what training allocates.  The
+    live state is the parameters and the RMSProp cache (2 parameter sizes),
+    the gradient buffer is 1 and a best copy 2; activations stay below half
+    a parameter size."""
+
+    def peak_in_parameter_sizes(self, tiny_task, **overrides):
+        split, vocabs = tiny_task
+        config = tiny_config(batch_size=4, gru1_hidden=256, gru2_hidden=256, head_hidden=32,
+                             **overrides)
+        tracemalloc.start()
+        try:
+            result = train(config, split, vocabs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / result.final_params.data.nbytes
+
+    def test_improvements_refill_one_best_copy(self, tiny_task, monkeypatch):
+        # Two improvements, each followed by further updates.
+        errors = iter([3.0, 2.0, 2.5, 2.6])
+        monkeypatch.setattr(training, "validation_error", lambda *a, **k: next(errors))
+        assert self.peak_in_parameter_sizes(tiny_task, epochs=4, validate_every=1) < 2 + 1 + 2.5
+
+    def test_a_run_ending_on_its_only_improvement_never_copies(self, tiny_task):
+        assert self.peak_in_parameter_sizes(tiny_task, epochs=4, validate_every=4) < 2 + 1.5
