@@ -62,8 +62,7 @@ def _sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"--sizes must be integers, got {text!r}") from None
 
 
-_CONFIG_TYPES = {f.name: f for f in dataclasses.fields(TrainConfig)
-                 if f.name not in ("dataset_path", "vocab_dir", "checkpoint_dir")}
+_CONFIG_TYPES = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "checkpoint_dir"}
 
 
 def parse_config_file(path) -> dict:
@@ -192,8 +191,7 @@ def cmd_train(args) -> int:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
-    config = TrainConfig(dataset_path=args.data, vocab_dir=args.vocab_dir,
-                         checkpoint_dir=args.ckpt_dir, **overrides)
+    config = TrainConfig(checkpoint_dir=args.ckpt_dir, **overrides)
 
     vocabs = _load_vocab_dir(args.vocab_dir)
     samples = ingest_jsonl(args.data, *vocabs)
@@ -221,11 +219,8 @@ def _load_eval_ckpt(path):
     if ckpt.vocabs is None:
         raise CheckpointError(f"{path} carries no vocabulary metadata")
     vocabs = vocabs_from_meta(ckpt.vocabs)
-    sizes = ModelSizes(input_dim=len(vocabs[0]), verb_dim=len(vocabs[1]),
-                       state_dim=len(vocabs[2]),
-                       gru1_hidden=ckpt.params.gru1.W_z.shape[0],
-                       gru2_hidden=ckpt.params.gru2.W_z.shape[0],
-                       head_hidden=ckpt.params.verb_head.W1.shape[0])
+    sizes = dataclasses.replace(ckpt.params.sizes, input_dim=len(vocabs[0]),
+                                verb_dim=len(vocabs[1]), state_dim=len(vocabs[2]))
     check_fingerprint(ckpt.config_fingerprint, sizes.fingerprint())
     return ckpt, vocabs
 

@@ -9,11 +9,13 @@ Conventions fixed here and relied on by the test suite:
     row-block views into these arrays, never copies, so writing through a
     view changes the model.
   * All parameters live in one flat float64 buffer (``ModelParams.data``),
-    in checkpoint order: gru1 W, U, b, gru2 W, U, b, verb head, state head.
-    The fused arrays are slices of it, so the per-gate arrays tile it in
-    the order the checkpoint stores them.  ``backward`` writes every
-    gradient into a second buffer with the same layout, and the RMSProp
-    cache is a third, so an optimizer step is a pass over three buffers.
+    laid out from ``ModelSizes`` in checkpoint order: gru1 W, U, b, gru2 W,
+    U, b, verb head, state head.  The fused arrays are slices of it, so the
+    per-gate arrays tile it in the order the checkpoint stores them.  A
+    ``ModelParams`` is only ever built as this layout over a buffer, never
+    packed from separate arrays.  ``backward`` writes every gradient into a
+    second buffer with the same layout, and the RMSProp cache is a third,
+    so an optimizer step is a pass over three buffers.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
   * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
@@ -40,7 +42,7 @@ import os
 import re
 import struct
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,8 @@ from .losses import tangent_loss, tangent_loss_grad
 
 CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
+# The RMSProp settings a checkpoint stores next to the cache.
+RMSPROP_SETTINGS = ("lr", "rho", "eps")
 
 GATES = "zrh"
 # Per-gate parameter names of a GRU layer, in checkpoint order.
@@ -108,27 +112,14 @@ def _gate_view(kind: str, gate: int) -> property:
     return property(view)
 
 
-@dataclass(init=False)
+@dataclass
 class GruLayerParams:
     """One GRU layer: W (3n, in), U (3n, n) and b (3n,), gate blocks in
-    [z; r; h] order.  ``GruLayerParams(W_z=..., ..., b_h=...)`` packs
-    separate gate arrays into this layout once; ``fused`` adopts arrays that
-    already have it."""
+    [z; r; h] order; W_z ... b_h are row-block views of them."""
 
     W: np.ndarray
     U: np.ndarray
     b: np.ndarray
-
-    def __init__(self, W_z, W_r, W_h, U_z, U_r, U_h, b_z, b_r, b_h):
-        self.W = np.concatenate([W_z, W_r, W_h], dtype=np.float64)
-        self.U = np.concatenate([U_z, U_r, U_h], dtype=np.float64)
-        self.b = np.concatenate([b_z, b_r, b_h], dtype=np.float64)
-
-    @classmethod
-    def fused(cls, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> "GruLayerParams":
-        layer = cls.__new__(cls)
-        layer.W, layer.U, layer.b = W, U, b
-        return layer
 
     W_z, W_r, W_h = (_gate_view("W", g) for g in range(3))
     U_z, U_r, U_h = (_gate_view("U", g) for g in range(3))
@@ -146,44 +137,35 @@ class MlpHeadParams:
 @dataclass
 class ModelParams:
     """Every parameter in one contiguous float64 buffer, ``data``, laid out
-    in checkpoint order: gru1 W, U, b, gru2 W, U, b, then each head's W1,
-    b1, W2, b2.  The fields are views into it, and so are the per-gate
-    arrays, which tile it in the same order.  Built from arrays that do not
-    already tile one buffer, it packs copies of them into a new one."""
+    by ``sizes`` in checkpoint order: gru1 W, U, b, gru2 W, U, b, then each
+    head's W1, b1, W2, b2.  ``gru1``, ``gru2``, ``verb_head`` and
+    ``state_head`` are views into it, set on construction and not fields,
+    and so are the per-gate arrays, which tile it in the same order.  The
+    same layout over another buffer (``like``) holds gradients or the
+    RMSProp cache."""
 
-    gru1: GruLayerParams
-    gru2: GruLayerParams
-    verb_head: MlpHeadParams
-    state_head: MlpHeadParams
+    data: np.ndarray
+    sizes: ModelSizes
 
     def __post_init__(self):
-        arrays = self._arrays()
-        self.data, views = as_flat(arrays)
-        if views is not arrays:
-            self.gru1, self.gru2, self.verb_head, self.state_head = _groups(views)
+        shapes = _shapes(self.sizes)
+        size = sum(map(math.prod, shapes))
+        data = self.data
+        if data.dtype != np.float64 or data.shape != (size,) or not data.flags.c_contiguous:
+            raise ValueError(f"parameter buffer must be contiguous float64 of shape ({size},), "
+                             f"got {data.dtype} of shape {data.shape}")
+        arrays = _split(data, shapes)
+        self.gru1, self.gru2 = GruLayerParams(*arrays[:3]), GruLayerParams(*arrays[3:6])
+        self.verb_head, self.state_head = MlpHeadParams(*arrays[6:10]), MlpHeadParams(*arrays[10:])
 
     @classmethod
     def new(cls, sizes: ModelSizes, alloc=np.zeros) -> "ModelParams":
         """Parameters of the given sizes over a new buffer from ``alloc``."""
-        shapes = _shapes(sizes)
-        return cls._over(alloc(sum(map(math.prod, shapes))), shapes)
-
-    @classmethod
-    def _over(cls, data: np.ndarray, shapes) -> "ModelParams":
-        # Views of ``data`` tile it by construction: no need to check them.
-        params = cls.__new__(cls)
-        params.gru1, params.gru2, params.verb_head, params.state_head = _groups(
-            _split(data, shapes))
-        params.data = data
-        return params
-
-    def _arrays(self) -> list[np.ndarray]:
-        return [getattr(part, f.name) for part in (self.gru1, self.gru2, self.verb_head,
-                                                   self.state_head) for f in fields(part)]
+        return cls(alloc(sum(map(math.prod, _shapes(sizes)))), sizes)
 
     def like(self, data: np.ndarray) -> "ModelParams":
         """This layout over another flat buffer, such as a gradient buffer."""
-        return self._over(data, [a.shape for a in self._arrays()])
+        return ModelParams(data, self.sizes)
 
     def flat(self) -> dict[str, np.ndarray]:
         """Ordered name -> array view of every parameter (PARAM_NAMES)."""
@@ -191,16 +173,6 @@ class ModelParams:
                                       for n in GRU_NAMES]
                         + [getattr(head, n) for head in (self.verb_head, self.state_head)
                            for n in HEAD_NAMES]))
-
-    def sizes(self) -> ModelSizes:
-        return ModelSizes(
-            input_dim=self.gru1.W.shape[1],
-            verb_dim=self.verb_head.W2.shape[0],
-            state_dim=self.state_head.W2.shape[0],
-            gru1_hidden=self.gru1.U.shape[1],
-            gru2_hidden=self.gru2.U.shape[1],
-            head_hidden=self.verb_head.W1.shape[0],
-        )
 
     def copy(self) -> "ModelParams":
         return self.like(self.data.copy())
@@ -222,35 +194,6 @@ def _split(data: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of the flat buffer ``data`` with the given shapes."""
     ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
     return [data[end - math.prod(s):end].reshape(s) for end, s in zip(ends, shapes)]
-
-
-def _groups(arrays: list[np.ndarray]) -> tuple:
-    """The four fields of a ModelParams from its fused arrays in buffer order."""
-    return (GruLayerParams.fused(*arrays[:3]), GruLayerParams.fused(*arrays[3:6]),
-            MlpHeadParams(*arrays[6:10]), MlpHeadParams(*arrays[10:]))
-
-
-def as_flat(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One contiguous float64 buffer that ``arrays`` tile in order, and the
-    arrays as views of it: their own buffer when they already tile one (the
-    list is returned as given), else a new buffer holding copies."""
-    base = arrays[0].base
-    if isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64:
-        at = base.ctypes.data
-        for a in arrays:
-            if (a.base is not base or a.dtype != np.float64 or not a.flags.c_contiguous
-                    or a.ctypes.data != at):
-                break
-            at += a.nbytes
-        else:
-            if at == base.ctypes.data + base.nbytes:
-                return base, arrays
-    data = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-    return data, _split(data, [np.shape(a) for a in arrays])
-
-
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return params.like(np.zeros_like(params.data)).flat()
 
 
 def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
@@ -527,7 +470,7 @@ class Checkpoint:
     best_val_error: float
     config_fingerprint: str
     seeds: dict
-    rmsprop: dict | None = None     # {"lr", "rho", "eps", "cache": {name: array}}
+    rmsprop: dict | None = None     # {"lr", "rho", "eps", "cache": ModelParams}
     vocabs: dict | None = None      # {"text": [...], "verb": [...], "state": [...]}
 
 
@@ -539,8 +482,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     arrays = dict(ckpt.params.flat())
     rmsprop_meta = None
     if ckpt.rmsprop is not None:
-        rmsprop_meta = {k: ckpt.rmsprop[k] for k in ("lr", "rho", "eps")}
-        for name, arr in ckpt.rmsprop["cache"].items():
+        rmsprop_meta = {k: ckpt.rmsprop[k] for k in RMSPROP_SETTINGS}
+        for name, arr in ckpt.rmsprop["cache"].flat().items():
             arrays[f"rmsprop.{name}"] = arr
     meta = {
         "fingerprint": ckpt.config_fingerprint,
@@ -607,8 +550,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             params = ModelParams.new(sizes, np.empty)
             places = params.flat()
             if optimizer and meta.get("rmsprop") is not None:
-                cache = params.like(np.empty_like(params.data)).flat()
-                places.update((f"rmsprop.{name}", arr) for name, arr in cache.items())
+                cache = params.like(np.empty_like(params.data))
+                places.update((f"rmsprop.{name}", arr) for name, arr in cache.flat().items())
         (n_arrays,) = struct.unpack("<I", take(4))
         for _ in range(n_arrays):
             (name_len,) = struct.unpack("<H", take(2))
@@ -645,7 +588,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         best_val_error=np.inf if best is None else float(best),
         config_fingerprint=meta["fingerprint"],
         seeds=meta["seeds"],
-        rmsprop=None if cache is None else dict(meta["rmsprop"], cache=cache),
+        rmsprop=None if cache is None else dict(
+            cache=cache, **{k: meta["rmsprop"][k] for k in RMSPROP_SETTINGS}),
         vocabs=meta.get("vocabs"),
     )
 

@@ -3,16 +3,17 @@
 Per coordinate: cache <- rho*cache + (1-rho)*g^2, then
 theta <- theta - lr * g / (sqrt(cache) + eps).
 
-Parameters, gradients and cache are each one flat buffer with the layout of
-``ModelParams.data``, so a step is one finite check and one pass over the
-three buffers, whatever the number of named arrays.
+Parameters and cache are ``ModelParams``, the same layout over one flat
+buffer each, and the gradient is a third flat buffer with that layout, so a
+step is one finite check and one pass over the three buffers, whatever the
+number of named arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import PARAM_NAMES, ModelParams, as_flat
+from .network import ModelParams
 
 # Elements per block of the in-place update.
 BLOCK = 1 << 15
@@ -20,33 +21,18 @@ BLOCK = 1 << 15
 
 @dataclass
 class RmsPropState:
-    """``cache`` maps each parameter name to its running average; the arrays
-    are views of one flat buffer, ``data``, laid out like the parameters'.
-    A cache given as separate arrays is packed into a new buffer."""
+    """``cache`` holds each parameter's running average of squared
+    gradients: the parameters' layout over a buffer of its own."""
 
-    cache: dict[str, np.ndarray]
+    cache: ModelParams
     lr: float = 1e-4
     rho: float = 0.9
     eps: float = 1e-8
 
-    def __post_init__(self):
-        self.data, views = as_flat([self.cache[name] for name in PARAM_NAMES])
-        self.cache = dict(zip(PARAM_NAMES, views))
-
     @classmethod
     def fresh(cls, params: ModelParams, lr: float = 1e-4, rho: float = 0.9,
               eps: float = 1e-8) -> "RmsPropState":
-        return cls(cache=params.like(np.zeros_like(params.data)).flat(), lr=lr, rho=rho, eps=eps)
-
-
-def _flat_grads(params: ModelParams, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """A name -> array gradient mapping packed into one flat buffer."""
-    views = params.flat()
-    for name, theta in views.items():
-        if np.shape(grads[name]) != theta.shape:
-            raise ValueError(f"gradient shape {np.shape(grads[name])} does not match "
-                             f"{name} {theta.shape}")
-    return np.concatenate([np.ravel(grads[name]) for name in views], dtype=np.float64)
+        return cls(cache=params.like(np.zeros_like(params.data)), lr=lr, rho=rho, eps=eps)
 
 
 def _coordinate(params: ModelParams, i: int) -> str:
@@ -58,19 +44,17 @@ def _coordinate(params: ModelParams, i: int) -> str:
     raise IndexError(i)
 
 
-def rmsprop_step(params: ModelParams, grads, state: RmsPropState,
+def rmsprop_step(params: ModelParams, grads: np.ndarray, state: RmsPropState,
                  clip: float | None = None):
     """Apply one update in place; returns (params, state) for convenience.
 
-    ``grads`` is a flat gradient buffer laid out like ``params.data`` (such
-    as the ``data`` of the buffer ``backward`` fills) or a name -> array
-    mapping, which is packed into one first.  Non-finite gradients are
-    rejected with the offending array and coordinate named, before any
+    ``grads`` is a flat gradient buffer laid out like ``params.data``, such
+    as the ``data`` of the buffer ``backward`` fills.  Non-finite gradients
+    are rejected with the offending array and coordinate named, before any
     parameter moves.  ``clip`` optionally bounds each gradient component
     before the update (off by default).
     """
-    theta, cache = params.data, state.data
-    g = grads if isinstance(grads, np.ndarray) else _flat_grads(params, grads)
+    theta, cache, g = params.data, state.cache.data, grads
     if g.shape != theta.shape or cache.shape != theta.shape:
         raise ValueError(f"gradient shape {g.shape} and cache shape {cache.shape} must "
                          f"match the parameters' {theta.shape}")

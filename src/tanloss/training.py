@@ -45,12 +45,9 @@ class TrainConfig:
     shuffle_seed: int = 0
     rho: float = 0.9
     eps: float = 1e-8
-    batch_reduction: str = "mean"   # "mean" makes lr invariant to batch size
     grad_clip: float | None = None
     keep_all: bool = False
     val_fraction: float = 0.1
-    dataset_path: str | None = None
-    vocab_dir: str | None = None
     checkpoint_dir: str | None = None
 
     def sizes_for(self, text_vocab, verb_vocab, state_vocab) -> ModelSizes:
@@ -111,8 +108,6 @@ def _check_config(config: TrainConfig) -> None:
         raise ValueError(f"epochs must be >= 1, got {config.epochs}")
     if config.validate_every < 1:
         raise ValueError(f"validate_every must be >= 1, got {config.validate_every}")
-    if config.batch_reduction not in ("mean", "sum"):
-        raise ValueError(f"batch_reduction must be 'mean' or 'sum', got {config.batch_reduction}")
 
 
 def _check_split(split: DatasetSplit) -> None:
@@ -146,7 +141,6 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
                 opt: RmsPropState, start_epoch: int, best_err: float) -> TrainResult:
     text_vocab, verb_vocab, state_vocab = vocabs
     pad_index = text_vocab.pad_index
-    sizes = config.sizes_for(text_vocab, verb_vocab, state_vocab)
     seeds = {"split": config.split_seed, "init": config.init_seed,
              "shuffle": config.shuffle_seed}
     ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
@@ -157,7 +151,7 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
         """The live state, not a copy of it."""
         return Checkpoint(
             params=params, epoch=epoch, best_val_error=err,
-            config_fingerprint=sizes.fingerprint(), seeds=seeds,
+            config_fingerprint=params.sizes.fingerprint(), seeds=seeds,
             rmsprop={"lr": opt.lr, "rho": opt.rho, "eps": opt.eps, "cache": opt.cache},
             vocabs=_vocab_meta(text_vocab, verb_vocab, state_vocab),
         )
@@ -179,22 +173,20 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             verb_pred, state_pred, trace = forward(params, batch)
             loss_sum += (tangent_loss(batch.verb_labels, verb_pred)
                          + tangent_loss(batch.state_labels, state_pred))
-            verb_grad = tangent_loss_grad(batch.verb_labels, verb_pred)
-            state_grad = tangent_loss_grad(batch.state_labels, state_pred)
-            if config.batch_reduction == "mean":
-                verb_grad = verb_grad / len(batch)
-                state_grad = state_grad / len(batch)
+            # The gradient of the batch mean, so that lr does not depend on
+            # the batch size.
+            verb_grad = tangent_loss_grad(batch.verb_labels, verb_pred) / len(batch)
+            state_grad = tangent_loss_grad(batch.state_labels, state_pred) / len(batch)
             backward(params, batch, trace, verb_grad, state_grad, out=grads)
             # Free it before the next batch, or the best copy, allocates.
             del trace
             if best_is_live:
                 if best_copy is None:
-                    best_copy = params.copy(), params.like(opt.data.copy())
+                    best_copy = params.copy(), opt.cache.copy()
                 else:
                     np.copyto(best_copy[0].data, params.data)
-                    np.copyto(best_copy[1].data, opt.data)
-                best_ckpt.params = best_copy[0]
-                best_ckpt.rmsprop["cache"] = best_copy[1].flat()
+                    np.copyto(best_copy[1].data, opt.cache.data)
+                best_ckpt.params, best_ckpt.rmsprop["cache"] = best_copy
                 best_is_live = False
             rmsprop_step(params, grads.data, opt, clip=config.grad_clip)
 
@@ -264,7 +256,5 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) ->
                                       f"from the one given")
     if ckpt.rmsprop is None:
         raise CheckpointError(f"{checkpoint_path} carries no optimizer state; cannot resume")
-    opt = RmsPropState(cache=ckpt.rmsprop["cache"], lr=ckpt.rmsprop["lr"],
-                       rho=ckpt.rmsprop["rho"], eps=ckpt.rmsprop["eps"])
-    return _run_epochs(config, split, vocabs, ckpt.params, opt,
+    return _run_epochs(config, split, vocabs, ckpt.params, RmsPropState(**ckpt.rmsprop),
                        start_epoch=ckpt.epoch, best_err=ckpt.best_val_error)

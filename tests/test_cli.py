@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -73,11 +74,12 @@ class TestTrain:
         assert "data error" in err
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
-        (tmp_path / "bad.cfg").write_text("no_such_key = 5\n")
-        code, _, err = run(capsys, "train", "--data", "x", "--vocab-dir", "y",
-                           "--ckpt-dir", "z", "--config", str(tmp_path / "bad.cfg"))
-        assert code == 2
-        assert "unknown key" in err
+        for line in ("no_such_key = 5", "batch_reduction = sum"):
+            (tmp_path / "bad.cfg").write_text(line + "\n")
+            code, _, err = run(capsys, "train", "--data", "x", "--vocab-dir", "y",
+                               "--ckpt-dir", "z", "--config", str(tmp_path / "bad.cfg"))
+            assert code == 2
+            assert "unknown key" in err
 
     def test_config_file_values_with_flag_overrides(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -187,6 +189,24 @@ class TestEval:
                            "--data", str(mini_run["corpus"] / "samples.jsonl"))
         assert code == 1
         assert "not found" in err
+
+    def test_stored_vocabulary_unlike_the_layout_fails(self, mini_run, tmp_path, capsys,
+                                                        monkeypatch):
+        # Eval and predict size the model from the stored vocabularies, so
+        # one text token more than the fingerprint counts must be refused.
+        ckpt = network.load_checkpoint(mini_run["ckpt"] / "ckpt_best.bin")
+        ckpt.vocabs["text"].insert(0, "extra")
+        network.save_checkpoint(ckpt, tmp_path / "extra.bin")
+        stored = ckpt.params.sizes
+        wider = dataclasses.replace(stored, input_dim=stored.input_dim + 1)
+        code, _, err = run(capsys, "eval", "--ckpt", str(tmp_path / "extra.bin"),
+                           "--data", str(mini_run["corpus"] / "samples.jsonl"))
+        assert code == 1
+        assert stored.fingerprint() in err and wider.fingerprint() in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO("mix it\n"))
+        code, out, err = run(capsys, "predict", "--ckpt", str(tmp_path / "extra.bin"))
+        assert code == 1 and out == ""
+        assert stored.fingerprint() in err and wider.fingerprint() in err
 
 
 class TestPredict:

@@ -6,10 +6,10 @@ import pytest
 import tanloss.network as network
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
-from tanloss.network import (GRU_NAMES, Checkpoint, CheckpointError, GruLayerParams,
-                             MlpHeadParams, ModelParams, ModelSizes, backward, check_fingerprint,
-                             forward, gradient_check, gru_step, init_params, load_checkpoint,
-                             save_checkpoint, zero_grads)
+from tanloss.network import (Checkpoint, CheckpointError, GruLayerParams, ModelParams,
+                             ModelSizes, backward, check_fingerprint, forward, gradient_check,
+                             gru_step, init_params, load_checkpoint, save_checkpoint)
+from tanloss.optim import RmsPropState
 
 TOY = ModelSizes(input_dim=6, verb_dim=2, state_dim=2, gru1_hidden=3, gru2_hidden=2, head_hidden=4)
 
@@ -29,11 +29,8 @@ def make_batch(sizes, lengths, seed=0, pad_to=None):
 
 
 def zero_gru(hidden, inp):
-    return GruLayerParams(
-        W_z=np.zeros((hidden, inp)), W_r=np.zeros((hidden, inp)), W_h=np.zeros((hidden, inp)),
-        U_z=np.zeros((hidden, hidden)), U_r=np.zeros((hidden, hidden)),
-        U_h=np.zeros((hidden, hidden)),
-        b_z=np.zeros(hidden), b_r=np.zeros(hidden), b_h=np.zeros(hidden))
+    return GruLayerParams(W=np.zeros((3 * hidden, inp)), U=np.zeros((3 * hidden, hidden)),
+                          b=np.zeros(3 * hidden))
 
 
 class TestInit:
@@ -112,23 +109,17 @@ class TestFusedLayout:
 
 
 class TestFlatBuffer:
-    def test_separate_arrays_are_packed_into_one_buffer(self):
-        params = init_params(TOY, seed=3)
-        rebuilt = ModelParams(
-            gru1=GruLayerParams(*(getattr(params.gru1, n).copy() for n in GRU_NAMES)),
-            gru2=GruLayerParams(*(getattr(params.gru2, n).copy() for n in GRU_NAMES)),
-            verb_head=MlpHeadParams(*(a.copy() for a in vars(params.verb_head).values())),
-            state_head=MlpHeadParams(*(a.copy() for a in vars(params.state_head).values())))
-        assert rebuilt.data.tobytes() == params.data.tobytes()
-        for name, view in rebuilt.flat().items():
-            assert view.base is rebuilt.data, name
-        # Arrays that already tile one buffer are adopted, not copied.
-        again = ModelParams(params.gru1, params.gru2, params.verb_head, params.state_head)
-        assert again.data is params.data
+    def test_constructor_rejects_a_buffer_of_the_wrong_length_or_dtype(self):
+        data = init_params(TOY, seed=3).data
+        assert ModelParams(data, TOY).data is data
+        with pytest.raises(ValueError, match=rf"got float64 of shape \({data.size - 1},\)"):
+            ModelParams(data[:-1].copy(), TOY)
+        with pytest.raises(ValueError, match="got float32"):
+            ModelParams(data.astype(np.float32), TOY)
 
     def test_loaded_parameters_and_cache_are_one_buffer_each(self, tmp_path):
         params = init_params(TOY, seed=3)
-        cache = {name: np.abs(arr) + 0.5 for name, arr in params.flat().items()}
+        cache = params.like(np.abs(params.data) + 0.5)
         save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5,
                                    config_fingerprint=TOY.fingerprint(), seeds={},
                                    rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
@@ -137,7 +128,7 @@ class TestFlatBuffer:
         loaded = load_checkpoint(tmp_path / "m.bin")
         assert loaded.params.data.tobytes() == params.data.tobytes()
         assert all(v.base is loaded.params.data for v in loaded.params.flat().values())
-        views = list(loaded.rmsprop["cache"].values())
+        views = list(loaded.rmsprop["cache"].flat().values())
         assert views[0].base.size == params.data.size
         assert all(v.base is views[0].base for v in views)
 
@@ -395,13 +386,13 @@ class TestCheckpoint:
 
     def test_rmsprop_state_round_trips(self, tmp_path):
         params = init_params(TOY, seed=1)
-        cache = {name: np.abs(arr) for name, arr in params.flat().items()}
+        cache = params.like(np.abs(params.data))
         ckpt = self.snapshot(params, rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8, "cache": cache})
         save_checkpoint(ckpt, tmp_path / "m.bin")
         loaded = load_checkpoint(tmp_path / "m.bin")
         assert loaded.rmsprop["lr"] == 1e-4
-        for name, arr in cache.items():
-            assert np.array_equal(loaded.rmsprop["cache"][name], arr)
+        for name, arr in cache.flat().items():
+            assert np.array_equal(loaded.rmsprop["cache"].flat()[name], arr)
 
     def test_infinite_best_error_round_trips(self, tmp_path):
         ckpt = self.snapshot(init_params(TOY, seed=1), best_val_error=np.inf)
@@ -524,9 +515,26 @@ class TestCheckpoint:
 
     def with_optimizer(self, seed=1):
         params = init_params(TOY, seed=seed)
-        cache = {name: np.abs(arr) + 0.5 for name, arr in params.flat().items()}
+        cache = params.like(np.abs(params.data) + 0.5)
         return self.snapshot(params, rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
                                               "cache": cache})
+
+    def test_other_optimizer_metadata_is_ignored(self, tmp_path):
+        import json
+        import struct
+
+        # A file may carry more RMSProp metadata than lr, rho and eps; the
+        # loaded settings are those three, so they build an RmsPropState.
+        save_checkpoint(self.with_optimizer(), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        meta = json.loads(blob[12:12 + meta_len])
+        meta["rmsprop"]["momentum"] = 0.5
+        extra = json.dumps(meta).encode()
+        (tmp_path / "extra.bin").write_bytes(
+            blob[:8] + struct.pack("<I", len(extra)) + extra + blob[12 + meta_len:])
+        state = RmsPropState(**load_checkpoint(tmp_path / "extra.bin").rmsprop)
+        assert (state.lr, state.rho, state.eps) == (1e-4, 0.9, 1e-8)
 
     def test_parameters_only_load_matches_full_load(self, tmp_path):
         save_checkpoint(self.with_optimizer(), tmp_path / "m.bin")
@@ -589,7 +597,7 @@ class TestCheckpoint:
             assert loaded.epoch == 4 and loaded.best_val_error == 0.5
         assert loaded.rmsprop is None
         full = load_checkpoint(tmp_path / "v1.bin")
-        for name, arr in full.rmsprop["cache"].items():
+        for name, arr in full.rmsprop["cache"].flat().items():
             assert np.array_equal(arr, arrays[f"rmsprop.{name}"])
 
     def test_fingerprint_mismatch_names_both_layouts(self):

@@ -222,8 +222,8 @@ class TestCheckpointsAndLog:
             assert saved.best_val_error == (stopped.best.best_val_error if stopped.best
                                             else np.inf)
             assert saved.params.data.tobytes() == stopped.final_params.data.tobytes()
-            for name, arr in stopped.final_state.cache.items():
-                assert saved.rmsprop["cache"][name].tobytes() == arr.tobytes(), (k, name)
+            for name, arr in stopped.final_state.cache.flat().items():
+                assert saved.rmsprop["cache"].flat()[name].tobytes() == arr.tobytes(), (k, name)
 
     def test_log_keeps_the_epochs_finished_before_a_failure(self, tiny_task, tmp_path,
                                                             monkeypatch):
