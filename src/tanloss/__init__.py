@@ -15,14 +15,14 @@ if os.environ.get("TANLOSS_THREADS"):
         os.environ.setdefault(_var, os.environ["TANLOSS_THREADS"])
 
 from .corpus import (Batch, DataError, DatasetSplit, Sample, SyntheticConfig, Vocabulary,
-                     encode_one_hot, generate_synthetic_corpus, ingest_jsonl, load_vocab,
-                     make_batches, pad_batch, save_vocab, split_dataset)
+                     generate_synthetic_corpus, ingest_jsonl, load_vocab, make_batches,
+                     pad_batch, save_vocab, split_dataset)
 from .evaluation import EvalReport, binarize, evaluate, one_missing_match
 from .losses import (batch_error, cross_entropy, error_epsilon, softmax_pmf, tangent_loss,
                      tangent_loss_grad)
 from .network import (Checkpoint, CheckpointError, ForwardTrace, GruLayerParams, MlpHeadParams,
-                      ModelParams, ModelSizes, backward, forward, gradient_check, gru_step,
-                      init_params, load_checkpoint, save_checkpoint)
+                      ModelParams, ModelSizes, backward, forward, gradient_check, init_params,
+                      load_checkpoint, save_checkpoint)
 from .optim import RmsPropState, rmsprop_step
 from .training import (TrainConfig, TrainLogRecord, TrainResult, resume, total_loss, train,
                        validation_error)

@@ -62,7 +62,10 @@ def _sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"--sizes must be integers, got {text!r}") from None
 
 
-_CONFIG_TYPES = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "checkpoint_dir"}
+# The config-file keys and their types: every TrainConfig field but
+# checkpoint_dir, each also the dest of a `train` flag.
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)
+                 if f.name != "checkpoint_dir"}
 
 
 def parse_config_file(path) -> dict:
@@ -88,20 +91,14 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(key: str, value: str):
-    target = _CONFIG_TYPES[key].type
-    if key == "grad_clip":
-        return None if value.lower() in ("none", "off") else float(value)
-    if target is bool or target == "bool":
+    target = _CONFIG_TYPES[key]
+    if target is bool:
         if value.lower() in ("true", "1", "yes", "on"):
             return True
         if value.lower() in ("false", "0", "no", "off"):
             return False
         raise ValueError(value)
-    if target is int or target == "int":
-        return int(value)
-    if target is float or target == "float":
-        return float(value)
-    return value
+    return target(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,9 +182,7 @@ def _load_vocab_dir(vocab_dir) -> tuple:
 
 def cmd_train(args) -> int:
     overrides = parse_config_file(args.config) if args.config else {}
-    for key in ("epochs", "validate_every", "lr", "batch_size", "gru1_hidden", "gru2_hidden",
-                "head_hidden", "split_seed", "init_seed", "shuffle_seed", "val_fraction",
-                "keep_all"):
+    for key in _CONFIG_TYPES:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
@@ -221,7 +216,7 @@ def _load_eval_ckpt(path):
     vocabs = vocabs_from_meta(ckpt.vocabs)
     sizes = dataclasses.replace(ckpt.params.sizes, input_dim=len(vocabs[0]),
                                 verb_dim=len(vocabs[1]), state_dim=len(vocabs[2]))
-    check_fingerprint(ckpt.config_fingerprint, sizes.fingerprint())
+    check_fingerprint(ckpt.params.sizes.fingerprint(), sizes.fingerprint())
     return ckpt, vocabs
 
 

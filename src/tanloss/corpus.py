@@ -2,8 +2,7 @@
 
 Three vocabularies are in play: text (input tokens, with UNK and PAD), verb
 and state change (label tokens, with UNK only).  Unknown tokens always map to
-UNK; PAD exists only on the input side and encodes to the all-zeros vector so
-padding steps inject no signal.
+UNK; PAD exists only on the input side.
 """
 
 import json
@@ -78,19 +77,6 @@ def load_vocab(path, with_pad: bool = False) -> Vocabulary:
 def save_vocab(vocab: Vocabulary, path) -> None:
     """Write one token per line, preserving index order."""
     Path(path).write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8")
-
-
-def encode_one_hot(index: int, dim: int, pad_index: int | None = None) -> np.ndarray:
-    """One-hot vector of length ``dim`` with a 1 at ``index``.
-
-    The PAD index maps to the all-zeros vector instead (masking convention).
-    """
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dimension {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    if index != pad_index:
-        vec[index] = 1.0
-    return vec
 
 
 @dataclass

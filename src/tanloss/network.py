@@ -53,6 +53,14 @@ CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
 # The RMSProp settings a checkpoint stores next to the cache.
 RMSPROP_SETTINGS = ("lr", "rho", "eps")
+# The metadata a checkpoint load reads besides the fingerprint: each key,
+# dotted for a member of "rmsprop" or "vocabs" (read when they are not null),
+# with the JSON types its value may take.  "vocabs" may be absent.
+META_TYPES = {
+    "epoch": int, "best_val_error": (int, float, type(None)), "seeds": dict,
+    "rmsprop": (dict, type(None)), **{f"rmsprop.{k}": (int, float) for k in RMSPROP_SETTINGS},
+    "vocabs": (dict, type(None)), **{f"vocabs.{k}": list for k in ("text", "verb", "state")},
+}
 
 GATES = "zrh"
 # Per-gate parameter names of a GRU layer, in checkpoint order.
@@ -264,18 +272,6 @@ def _cell_backward(U: np.ndarray, dh: np.ndarray, h: np.ndarray | None, gates: n
     return dh * (1.0 - z) + d_rh * r + deltas[:, :2 * n] @ U[:2 * n]
 
 
-def gru_step(params: GruLayerParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One GRU step on plain vectors; h' = (1-z)*h + z*hc."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.shape[-1] != params.W.shape[1] or h.shape[-1] != params.U.shape[1]:
-        raise ValueError(
-            f"shape mismatch: x {x.shape} vs W_z {params.W_z.shape}, "
-            f"h {h.shape} vs U_z {params.U_z.shape}"
-        )
-    return _cell(params.U, h, x @ params.W.T + params.b, np.empty_like(h))
-
-
 @dataclass
 class LayerTrace:
     """One GRU layer's activations over the packed steps (see the module
@@ -468,7 +464,6 @@ class Checkpoint:
     params: ModelParams
     epoch: int
     best_val_error: float
-    config_fingerprint: str
     seeds: dict
     rmsprop: dict | None = None     # {"lr", "rho", "eps", "cache": ModelParams}
     vocabs: dict | None = None      # {"text": [...], "verb": [...], "state": [...]}
@@ -486,7 +481,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for name, arr in ckpt.rmsprop["cache"].flat().items():
             arrays[f"rmsprop.{name}"] = arr
     meta = {
-        "fingerprint": ckpt.config_fingerprint,
+        "fingerprint": ckpt.params.sizes.fingerprint(),
         "epoch": ckpt.epoch,
         "best_val_error": None if np.isinf(ckpt.best_val_error) else ckpt.best_val_error,
         "seeds": ckpt.seeds,
@@ -515,12 +510,29 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
+def _check_meta(meta, path) -> None:
+    """Raise CheckpointError, naming ``path`` and the key, unless the dict
+    ``meta`` holds every key of META_TYPES with a type it allows."""
+    meta.setdefault("vocabs", None)
+    for name, types in META_TYPES.items():
+        parent, _, key = name.rpartition(".")
+        obj = meta[parent] if parent else meta
+        if obj is None:
+            continue
+        if key not in obj:
+            raise CheckpointError(f"checkpoint metadata lacks {name!r} in {path}")
+        if not isinstance(obj[key], types):
+            raise CheckpointError(f"checkpoint metadata {name!r} has the wrong type "
+                                  f"({type(obj[key]).__name__}) in {path}")
+
+
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Stream a checkpoint from disk, reading each array straight into its
     place in one flat parameter buffer (see ``ModelParams``) and, for the
     optimizer, one cache buffer with the same layout: no second copy.  The
     buffers are laid out from the layout fingerprint in the metadata; every
-    stored array must then have the shape the layout gives it.
+    stored array must then have the shape the layout gives it, and the other
+    metadata must hold the keys and types of META_TYPES.
 
     With ``optimizer=False`` the body of every ``rmsprop.*`` array is skipped
     (its header and size are still checked) and ``rmsprop`` is None: what
@@ -542,7 +554,12 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         version, meta_len = struct.unpack("<II", take(8))
         if version != CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
-        meta = json.loads(take(meta_len).decode("utf-8"))
+        try:
+            meta = json.loads(take(meta_len).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"unreadable checkpoint metadata in {path}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"checkpoint metadata is not a JSON object in {path}")
         sizes = ModelSizes.from_fingerprint(meta.get("fingerprint"))
         params = cache = None
         places: dict[str, np.ndarray] = {}
@@ -580,17 +597,17 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     for name in places:
         kind = "optimizer" if name.startswith("rmsprop.") else "parameter"
         raise CheckpointError(f"checkpoint missing {kind} array {name!r}")
+    _check_meta(meta, path)
 
     best = meta["best_val_error"]
     return Checkpoint(
         params=params,
         epoch=meta["epoch"],
         best_val_error=np.inf if best is None else float(best),
-        config_fingerprint=meta["fingerprint"],
         seeds=meta["seeds"],
         rmsprop=None if cache is None else dict(
             cache=cache, **{k: meta["rmsprop"][k] for k in RMSPROP_SETTINGS}),
-        vocabs=meta.get("vocabs"),
+        vocabs=meta["vocabs"],
     )
 
 

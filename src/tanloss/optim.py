@@ -30,9 +30,8 @@ class RmsPropState:
     eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, params: ModelParams, lr: float = 1e-4, rho: float = 0.9,
-              eps: float = 1e-8) -> "RmsPropState":
-        return cls(cache=params.like(np.zeros_like(params.data)), lr=lr, rho=rho, eps=eps)
+    def fresh(cls, params: ModelParams, lr: float = 1e-4) -> "RmsPropState":
+        return cls(cache=params.like(np.zeros_like(params.data)), lr=lr)
 
 
 def _coordinate(params: ModelParams, i: int) -> str:
@@ -44,15 +43,13 @@ def _coordinate(params: ModelParams, i: int) -> str:
     raise IndexError(i)
 
 
-def rmsprop_step(params: ModelParams, grads: np.ndarray, state: RmsPropState,
-                 clip: float | None = None):
+def rmsprop_step(params: ModelParams, grads: np.ndarray, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
     ``grads`` is a flat gradient buffer laid out like ``params.data``, such
     as the ``data`` of the buffer ``backward`` fills.  Non-finite gradients
     are rejected with the offending array and coordinate named, before any
-    parameter moves.  ``clip`` optionally bounds each gradient component
-    before the update (off by default).
+    parameter moves.
     """
     theta, cache, g = params.data, state.cache.data, grads
     if g.shape != theta.shape or cache.shape != theta.shape:
@@ -65,12 +62,10 @@ def rmsprop_step(params: ModelParams, grads: np.ndarray, state: RmsPropState,
 
     # The update runs over blocks of BLOCK elements, so that a block's
     # operands and temporaries stay in cache between the passes.
-    scratch = np.empty((1 if clip is None else 2, min(BLOCK, g.size)))
+    scratch = np.empty(min(BLOCK, g.size))
     for lo in range(0, g.size, BLOCK):
         th, gb, c = theta[lo:lo + BLOCK], g[lo:lo + BLOCK], cache[lo:lo + BLOCK]
-        buf = scratch[0, :gb.size]
-        if clip is not None:
-            gb = np.clip(gb, -clip, clip, out=scratch[1, :gb.size])
+        buf = scratch[:gb.size]
         # cache <- rho*cache + (1-rho)*g^2; theta -= lr*g / (sqrt(cache) + eps)
         c *= state.rho
         np.multiply(gb, gb, out=buf)

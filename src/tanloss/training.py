@@ -43,9 +43,6 @@ class TrainConfig:
     split_seed: int = 0
     init_seed: int = 0
     shuffle_seed: int = 0
-    rho: float = 0.9
-    eps: float = 1e-8
-    grad_clip: float | None = None
     keep_all: bool = False
     val_fraction: float = 0.1
     checkpoint_dir: str | None = None
@@ -150,8 +147,7 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
     def checkpoint(epoch: int, err: float) -> Checkpoint:
         """The live state, not a copy of it."""
         return Checkpoint(
-            params=params, epoch=epoch, best_val_error=err,
-            config_fingerprint=params.sizes.fingerprint(), seeds=seeds,
+            params=params, epoch=epoch, best_val_error=err, seeds=seeds,
             rmsprop={"lr": opt.lr, "rho": opt.rho, "eps": opt.eps, "cache": opt.cache},
             vocabs=_vocab_meta(text_vocab, verb_vocab, state_vocab),
         )
@@ -188,7 +184,7 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
                     np.copyto(best_copy[1].data, opt.cache.data)
                 best_ckpt.params, best_ckpt.rmsprop["cache"] = best_copy
                 best_is_live = False
-            rmsprop_step(params, grads.data, opt, clip=config.grad_clip)
+            rmsprop_step(params, grads.data, opt)
 
         val_err = None
         saved = False
@@ -230,7 +226,7 @@ def train(config: TrainConfig, split: DatasetSplit, vocabs) -> TrainResult:
     text_vocab, verb_vocab, state_vocab = vocabs
     sizes = config.sizes_for(text_vocab, verb_vocab, state_vocab)
     params = init_params(sizes, config.init_seed)
-    opt = RmsPropState.fresh(params, lr=config.lr, rho=config.rho, eps=config.eps)
+    opt = RmsPropState.fresh(params, lr=config.lr)
     return _run_epochs(config, split, vocabs, params, opt, start_epoch=0, best_err=np.inf)
 
 
@@ -247,7 +243,7 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) ->
     _check_split(split)
     ckpt = load_checkpoint(checkpoint_path)
     sizes = config.sizes_for(*vocabs)
-    check_fingerprint(ckpt.config_fingerprint, sizes.fingerprint())
+    check_fingerprint(ckpt.params.sizes.fingerprint(), sizes.fingerprint())
     if ckpt.vocabs is not None:
         given = _vocab_meta(*vocabs)
         for name in ("text", "verb", "state"):

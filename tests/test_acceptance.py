@@ -217,7 +217,6 @@ def test_c09_checkpoint_round_trip(tmp_path):
         pad_index=9)
     before_v, before_s, _ = forward(params, batch)
     save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5,
-                               config_fingerprint=sizes.fingerprint(),
                                seeds={"split": 0, "init": 3, "shuffle": 0}),
                     tmp_path / "m.bin")
     loaded = load_checkpoint(tmp_path / "m.bin")

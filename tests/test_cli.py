@@ -3,6 +3,7 @@ import io
 import json
 import os
 import queue
+import struct
 import subprocess
 import sys
 import threading
@@ -74,12 +75,20 @@ class TestTrain:
         assert "data error" in err
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
-        for line in ("no_such_key = 5", "batch_reduction = sum"):
+        for line in ("no_such_key = 5", "batch_reduction = sum", "rho = 0.5", "eps = 1e-6",
+                     "grad_clip = 1.0"):
             (tmp_path / "bad.cfg").write_text(line + "\n")
             code, _, err = run(capsys, "train", "--data", "x", "--vocab-dir", "y",
                                "--ckpt-dir", "z", "--config", str(tmp_path / "bad.cfg"))
             assert code == 2
             assert "unknown key" in err
+
+    def test_config_file_keys_are_the_train_flags(self):
+        args = cli._build_parser().parse_args(["train", "--data", "d", "--vocab-dir", "v",
+                                               "--ckpt-dir", "c"])
+        flags = set(vars(args)) - {"command", "data", "vocab_dir", "ckpt_dir", "config",
+                                   "resume", "quiet"}
+        assert set(cli._CONFIG_TYPES) == flags
 
     def test_config_file_values_with_flag_overrides(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -207,6 +216,40 @@ class TestEval:
         code, out, err = run(capsys, "predict", "--ckpt", str(tmp_path / "extra.bin"))
         assert code == 1 and out == ""
         assert stored.fingerprint() in err and wider.fingerprint() in err
+
+
+class TestCheckpointMetadata:
+    """A checkpoint whose metadata cannot be used fails eval and resume with
+    exit 1 and one line naming the file and the key, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: {k: v for k, v in meta.items() if k != "epoch"}, "lacks 'epoch'"),
+        (lambda meta: {**meta, "rmsprop": {"lr": 1e-4, "rho": 0.9}}, "lacks 'rmsprop.eps'"),
+        (lambda meta: {**meta, "epoch": "3"}, "'epoch' has the wrong type"),
+        (lambda meta: list(meta.items()), "not a JSON object"),
+        (lambda meta: b"not json", "unreadable checkpoint metadata"),
+    ], ids=["no-epoch", "no-rmsprop-eps", "text-epoch", "list", "not-json"])
+    def test_bad_metadata_is_named(self, mini_run, tmp_path, capsys, command, edit, named):
+        blob = (mini_run["ckpt"] / "ckpt_best.bin").read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        meta = edit(json.loads(blob[12:12 + meta_len]))
+        meta = meta if isinstance(meta, bytes) else json.dumps(meta).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta + blob[12 + meta_len:])
+        corpus = mini_run["corpus"]
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(bad), "--data", str(corpus / "samples.jsonl")]
+        else:
+            argv = ["train", "--data", str(corpus / "samples.jsonl"), "--vocab-dir", str(corpus),
+                    "--ckpt-dir", str(tmp_path / "k"), "--epochs", "8", "--batch-size", "16",
+                    "--gru1", "8", "--gru2", "6", "--head-hidden", "6", "--quiet",
+                    "--resume", str(bad)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert named in err and str(bad) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "k").exists()
 
 
 class TestPredict:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tanloss.corpus import (DataError, Sample, SyntheticConfig, Vocabulary, encode_one_hot,
+from tanloss.corpus import (DataError, Sample, SyntheticConfig, Vocabulary,
                             generate_synthetic_corpus, ingest_jsonl, load_vocab, make_batches,
                             pad_batch, save_vocab, split_dataset, synthetic_vocabs,
                             verb_to_states, write_jsonl)
@@ -82,25 +82,13 @@ class TestVocabulary:
 
 
 class TestOneHot:
-    def test_basic(self):
-        assert encode_one_hot(2, 4).tolist() == [0.0, 0.0, 1.0, 0.0]
-
-    def test_pad_maps_to_zero_vector(self):
-        assert encode_one_hot(3, 4, pad_index=3).tolist() == [0.0, 0.0, 0.0, 0.0]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            encode_one_hot(5, 4)
-
     def test_batch_rows_sum_to_true_length(self):
+        # Each row selects one input column per token that is not PAD.
         samples, (text_vocab, _, _) = generate_synthetic_corpus(SyntheticConfig(count=12), seed=4)
         batch = pad_batch(samples, pad_index=text_vocab.pad_index)
         for r in range(len(batch)):
-            total = sum(
-                encode_one_hot(int(i), len(text_vocab), pad_index=text_vocab.pad_index).sum()
-                for i in batch.token_matrix[r]
-            )
-            assert total == batch.lengths[r]
+            assert np.count_nonzero(batch.token_matrix[r] != text_vocab.pad_index) == \
+                batch.lengths[r]
 
 
 def make_vocabs(tmp_path):

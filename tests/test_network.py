@@ -6,9 +6,9 @@ import pytest
 import tanloss.network as network
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
-from tanloss.network import (Checkpoint, CheckpointError, GruLayerParams, ModelParams,
-                             ModelSizes, backward, check_fingerprint, forward, gradient_check,
-                             gru_step, init_params, load_checkpoint, save_checkpoint)
+from tanloss.network import (Checkpoint, CheckpointError, ModelParams, ModelSizes, backward,
+                             check_fingerprint, forward, gradient_check, init_params,
+                             load_checkpoint, save_checkpoint)
 from tanloss.optim import RmsPropState
 
 TOY = ModelSizes(input_dim=6, verb_dim=2, state_dim=2, gru1_hidden=3, gru2_hidden=2, head_hidden=4)
@@ -26,11 +26,6 @@ def make_batch(sizes, lengths, seed=0, pad_to=None):
             tokens=rng.integers(0, sizes.input_dim - 1, size=length).tolist(),
             verb_label=verb, state_label=state))
     return pad_batch(samples, pad_index=sizes.input_dim - 1, pad_to=pad_to)
-
-
-def zero_gru(hidden, inp):
-    return GruLayerParams(W=np.zeros((3 * hidden, inp)), U=np.zeros((3 * hidden, hidden)),
-                          b=np.zeros(3 * hidden))
 
 
 class TestInit:
@@ -65,8 +60,7 @@ class TestFusedLayout:
 
     def models(self, tmp_path):
         params = init_params(TOY, seed=3)
-        save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5,
-                                   config_fingerprint=TOY.fingerprint(), seeds={}),
+        save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5, seeds={}),
                         tmp_path / "m.bin")
         return {"init": params, "copy": params.copy(),
                 "loaded": load_checkpoint(tmp_path / "m.bin").params}
@@ -120,8 +114,7 @@ class TestFlatBuffer:
     def test_loaded_parameters_and_cache_are_one_buffer_each(self, tmp_path):
         params = init_params(TOY, seed=3)
         cache = params.like(np.abs(params.data) + 0.5)
-        save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5,
-                                   config_fingerprint=TOY.fingerprint(), seeds={},
+        save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5, seeds={},
                                    rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
                                             "cache": cache}),
                         tmp_path / "m.bin")
@@ -154,31 +147,6 @@ class TestFlatBuffer:
         for layer in (out.gru1, out.gru2):
             assert np.all(layer.U == 0) and np.any(layer.b != 0)
         assert np.all(np.isfinite(out.data))
-
-
-class TestGruStep:
-    def test_zero_params_halve_the_state(self):
-        params = zero_gru(3, 4)
-        h = np.array([0.4, -1.0, 2.0])
-        assert np.allclose(gru_step(params, np.zeros(4), h), 0.5 * h)
-
-    def test_zero_params_zero_state_stays_zero(self):
-        params = zero_gru(3, 4)
-        out = gru_step(params, np.zeros(4), np.zeros(3))
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_repeated_input_moves_the_state(self):
-        params = init_params(TOY, seed=3).gru1
-        x = np.zeros(TOY.input_dim)
-        x[1] = 1.0
-        h1 = gru_step(params, x, np.zeros(TOY.gru1_hidden))
-        h2 = gru_step(params, x, h1)
-        assert not np.allclose(h1, h2)
-
-    def test_shape_mismatch(self):
-        params = zero_gru(3, 4)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            gru_step(params, np.zeros(5), np.zeros(3))
 
 
 def scalar_reference_forward(params, tokens):
@@ -368,8 +336,7 @@ class TestBackward:
 
 class TestCheckpoint:
     def snapshot(self, params, **kwargs):
-        defaults = dict(epoch=3, best_val_error=0.25, config_fingerprint=TOY.fingerprint(),
-                        seeds={"split": 1, "init": 2, "shuffle": 3})
+        defaults = dict(epoch=3, best_val_error=0.25, seeds={"split": 1, "init": 2, "shuffle": 3})
         defaults.update(kwargs)
         return Checkpoint(params=params, **defaults)
 

@@ -10,7 +10,7 @@ import tanloss.training as training
 from tanloss.corpus import (DataError, DatasetSplit, Sample, SyntheticConfig,
                             generate_synthetic_corpus, split_dataset)
 from tanloss.losses import tangent_loss
-from tanloss.network import CheckpointError, load_checkpoint
+from tanloss.network import CheckpointError, load_checkpoint, save_checkpoint
 from tanloss.training import TrainConfig, resume, total_loss, train
 
 
@@ -183,6 +183,22 @@ class TestResume:
         assert again.records == []
         for name, arr in result.final_params.flat().items():
             assert np.array_equal(arr, again.final_params.flat()[name])
+
+    def test_resume_uses_the_stored_rmsprop_settings(self, tiny_task, tmp_path):
+        split, vocabs = tiny_task
+        train(tiny_config(epochs=2, checkpoint_dir=str(tmp_path), keep_all=True), split, vocabs)
+        ckpt = load_checkpoint(tmp_path / "ckpt_epoch_2.bin")
+        ckpt.rmsprop.update(rho=0.5, eps=1e-6)
+        save_checkpoint(ckpt, tmp_path / "other.bin")
+        config = tiny_config(epochs=3, checkpoint_dir=str(tmp_path / "k"), keep_all=True)
+        result = resume(tmp_path / "other.bin", config, split, vocabs)
+        state = result.final_state
+        assert (state.lr, state.rho, state.eps) == (1e-4, 0.5, 1e-6)
+        stored = load_checkpoint(tmp_path / "k" / "ckpt_epoch_3.bin").rmsprop
+        assert (stored["lr"], stored["rho"], stored["eps"]) == (1e-4, 0.5, 1e-6)
+        # The settings reached the update: the stored ones give other parameters.
+        default = resume(tmp_path / "ckpt_epoch_2.bin", tiny_config(epochs=3), split, vocabs)
+        assert not np.array_equal(default.final_params.data, result.final_params.data)
 
     def test_resume_with_other_sizes_rejected(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
