@@ -21,10 +21,10 @@ from .evaluation import EvalReport, binarize, evaluate, one_missing_match
 from .losses import (batch_error, cross_entropy, error_epsilon, softmax_pmf, tangent_loss,
                      tangent_loss_grad)
 from .network import (Checkpoint, CheckpointError, ForwardTrace, GruLayerParams, MlpHeadParams,
-                      ModelParams, ModelSizes, backward, forward, gradient_check, init_params,
-                      load_checkpoint, save_checkpoint)
+                      ModelParams, ModelSizes, backward, forward, init_params, load_checkpoint,
+                      save_checkpoint)
 from .optim import RmsPropState, rmsprop_step
-from .training import (TrainConfig, TrainLogRecord, TrainResult, resume, total_loss, train,
-                       validation_error)
+from .training import (TrainConfig, TrainLogRecord, TrainResult, gradient_check, resume,
+                       total_loss, train, validation_error)
 
 __version__ = "0.1.0"

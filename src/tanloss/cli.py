@@ -28,8 +28,8 @@ from . import network
 from .corpus import (DataError, Sample, SyntheticConfig, generate_synthetic_corpus,
                      ingest_jsonl, load_vocab, pad_batch, save_vocab, split_dataset, write_jsonl)
 from .evaluation import TOLERANCE_MODES, binarize, evaluate
-from .network import CheckpointError, ModelSizes, check_fingerprint, gradient_check, load_checkpoint
-from .training import TrainConfig, resume, train, vocabs_from_meta
+from .network import CheckpointError, ModelSizes, check_fingerprint, load_checkpoint
+from .training import TrainConfig, gradient_check, resume, train, vocabs_from_meta
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -151,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--sizes", type=_sizes, default=(10, 5, 4, 7, 3),
                     help="vocab,gru1,gru2,head,labels")
-    gc.add_argument("--corrupt-backward", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -299,7 +298,7 @@ def cmd_gradcheck(args) -> int:
     vocab, gru1, gru2, head, labels = args.sizes
     sizes = ModelSizes(input_dim=vocab, verb_dim=labels, state_dim=labels,
                        gru1_hidden=gru1, gru2_hidden=gru2, head_hidden=head)
-    worst = gradient_check(sizes, seed=args.seed, corrupt_backward=args.corrupt_backward)
+    worst = gradient_check(sizes, seed=args.seed)
     print(f"max relative gradient error: {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:.0e})")
     return EXIT_OK if worst < GRADCHECK_TOLERANCE else EXIT_FAILURE
 

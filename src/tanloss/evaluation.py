@@ -4,7 +4,9 @@ A sentence-level prediction counts as correct when at most one label item is
 absent from the predicted set.  Under the default "subset" tolerance extra
 predicted items disqualify the match; the "symmetric" tolerance instead
 allows any single-item symmetric difference.  Empty label sets count as
-correct only when the prediction is empty too.
+correct only when the prediction is empty too.  Predicted and label sets are
+boolean arrays over the last axis, so ``evaluate`` matches a whole batch of
+rows at once.
 """
 
 from dataclasses import dataclass
@@ -22,11 +24,6 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in TOLERANCE_MODES:
-        raise ValueError(f"unknown tolerance mode {mode!r}")
-
-
 def binarize(pred, threshold: float = 0.5) -> set[int]:
     """Indices with prediction >= threshold (inclusive boundary)."""
     _check_threshold(threshold)
@@ -34,24 +31,18 @@ def binarize(pred, threshold: float = 0.5) -> set[int]:
     return set(np.flatnonzero(pred >= threshold).tolist())
 
 
-def one_missing_match(pred: set[int], label: set[int], mode: str = "subset") -> bool:
-    _check_mode(mode)
-    if not label:
-        return not pred
-    if mode == "subset":
-        return pred <= label and len(label - pred) <= 1
-    return len(pred ^ label) <= 1
-
-
-def _one_missing_rows(pred: np.ndarray, label: np.ndarray, mode: str) -> np.ndarray:
-    """``one_missing_match`` for each row of boolean (N, m) prediction and
-    label matrices."""
-    missing = np.count_nonzero(label & ~pred, axis=1)
-    extra = np.count_nonzero(pred & ~label, axis=1)
+def one_missing_match(pred: np.ndarray, label: np.ndarray, mode: str = "subset"):
+    """Whether the boolean ``pred`` matches the boolean ``label`` under the
+    tolerance ``mode``, over the last axis: one bool for two vectors, one per
+    row for two matrices."""
+    if mode not in TOLERANCE_MODES:
+        raise ValueError(f"unknown tolerance mode {mode!r}")
+    missing = np.count_nonzero(label & ~pred, axis=-1)
+    extra = np.count_nonzero(pred & ~label, axis=-1)
     if mode == "subset":
         # An empty label has nothing missing, so this asks for an empty prediction.
         return (extra == 0) & (missing <= 1)
-    return np.where(label.any(axis=1), missing + extra <= 1, extra == 0)
+    return np.where(label.any(axis=-1), missing + extra <= 1, extra == 0)
 
 
 @dataclass
@@ -76,13 +67,12 @@ def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
     if not test_set:
         raise ValueError("cannot evaluate an empty test set")
     _check_threshold(threshold)
-    _check_mode(mode)
     verb_ok, state_ok = [], []
     for batch in make_batches(test_set, batch_size, seed=0, pad_index=pad_index, shuffle=False):
         # [:2] drops the trace now, not when the next batch's forward returns.
         verb_pred, state_pred = forward(params, batch)[:2]
-        verb_ok.append(_one_missing_rows(verb_pred >= threshold, batch.verb_labels != 0, mode))
-        state_ok.append(_one_missing_rows(state_pred >= threshold, batch.state_labels != 0, mode))
+        verb_ok.append(one_missing_match(verb_pred >= threshold, batch.verb_labels != 0, mode))
+        state_ok.append(one_missing_match(state_pred >= threshold, batch.state_labels != 0, mode))
     verb_ok, state_ok = np.concatenate(verb_ok), np.concatenate(state_ok)
     n = len(verb_ok)
     return EvalReport(

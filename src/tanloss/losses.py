@@ -2,13 +2,13 @@
 
 The training loss is ``sum_i SCALE * tan(BOUNDED_COEFF * |y_i - p_i|)`` over
 label components, with predictions in [0, 1] and labels in {0, 1}.  The
-0.499*pi coefficient keeps the loss finite at |y - p| = 1; the pi/2 variant
-is unbounded there and exists only so its behaviour on |y - p| < 1 can be
-probed.
+0.499*pi coefficient keeps the loss finite at |y - p| = 1.
 
 The error function used for validation is the absolute gap between the cross
 entropy of the prediction pmf against the label pmf and the self entropy of
 the label pmf, where both pmfs come from a softmax over the raw vectors.
+``error_epsilon`` works over the last axis, so two matrices give one error
+per row.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 # the loss definition, not a tunable.
 SCALE = 10.0
 BOUNDED_COEFF = 0.499 * np.pi
-UNBOUNDED_COEFF = 0.5 * np.pi
 
 
 def _check_same_shape(y, p):
@@ -28,20 +27,21 @@ def _check_same_shape(y, p):
     return y, p
 
 
-def tangent_loss(y, p, coeff: float = BOUNDED_COEFF) -> float:
-    """Sum of SCALE * tan(coeff * |y_i - p_i|) over all components.
+def tangent_loss(y, p) -> float:
+    """Sum of SCALE * tan(BOUNDED_COEFF * |y_i - p_i|) over all components.
 
-    Zero exactly when y == p; bounded above by m * SCALE * tan(coeff) for
-    inputs in [0, 1]^m and the default coefficient.
+    Zero exactly when y == p; bounded above by m * SCALE * tan(BOUNDED_COEFF)
+    for inputs in [0, 1]^m.
     """
     y, p = _check_same_shape(y, p)
-    return float(np.sum(SCALE * np.tan(coeff * np.abs(y - p))))
+    return float(np.sum(SCALE * np.tan(BOUNDED_COEFF * np.abs(y - p))))
 
 
-def tangent_loss_grad(y, p, coeff: float = BOUNDED_COEFF) -> np.ndarray:
+def tangent_loss_grad(y, p) -> np.ndarray:
     """Derivative of the tangent loss with respect to each p_i.
 
-    Component i is SCALE * coeff * sign(p_i - y_i) / cos^2(coeff * |y_i - p_i|).
+    Component i is SCALE * BOUNDED_COEFF * sign(p_i - y_i)
+    / cos^2(BOUNDED_COEFF * |y_i - p_i|).
     At p_i == y_i the absolute value has a kink; the subgradient 0 is returned
     there (the kink sits exactly at zero loss, so a zero step is the fixed
     point the optimizer should keep).
@@ -51,8 +51,8 @@ def tangent_loss_grad(y, p, coeff: float = BOUNDED_COEFF) -> np.ndarray:
     """
     y, p = _check_same_shape(y, p)
     diff = p - y
-    sec2 = 1.0 / np.cos(coeff * np.abs(diff)) ** 2
-    return np.where(diff == 0.0, 0.0, SCALE * coeff * np.sign(diff) * sec2)
+    sec2 = 1.0 / np.cos(BOUNDED_COEFF * np.abs(diff)) ** 2
+    return np.where(diff == 0.0, 0.0, SCALE * BOUNDED_COEFF * np.sign(diff) * sec2)
 
 
 def softmax_pmf(v) -> np.ndarray:
@@ -80,31 +80,25 @@ def cross_entropy(p, q) -> float:
     return float(-np.sum(p * np.log2(q)))
 
 
-def error_epsilon(y, p) -> float:
-    """|H(softmax(p), softmax(y)) - H(softmax(y), softmax(y))|.
+def error_epsilon(y, p):
+    """|H(softmax(p), softmax(y)) - H(softmax(y), softmax(y))| over the last
+    axis: one value for two vectors, one per row for two matrices.
 
-    Used only for validation and model selection, never for gradients.
-    Zero exactly when p == y.
+    Computed from log-softmaxes as |sum_x (Q(x) - P(x)) log2 Q(x)|, with Q
+    the label pmf and P the prediction pmf, so a label component whose
+    softmax underflows still counts.  Used only for validation and model
+    selection, never for gradients.  Zero exactly when p == y.
     """
     y, p = _check_same_shape(y, p)
-    q_label = softmax_pmf(y)
-    p_pred = softmax_pmf(p)
-    return abs(cross_entropy(p_pred, q_label) - cross_entropy(q_label, q_label))
-
-
-def _error_rows(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``error_epsilon`` of each row of two (N, m) matrices, from a row-wise
-    log-softmax: the gap is |sum_x (Q(x) - P(x)) log2 Q(x)| with Q the label
-    pmf and P the prediction pmf."""
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(p))):
         raise ValueError("softmax input must be finite")
 
     def log_softmax(v):
-        shifted = v - v.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = v - v.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     log_q = log_softmax(y)
-    gap = np.sum((np.exp(log_q) - np.exp(log_softmax(p))) * log_q, axis=1)
+    gap = np.sum((np.exp(log_q) - np.exp(log_softmax(p))) * log_q, axis=-1)
     return np.abs(gap) / np.log(2.0)
 
 
@@ -121,4 +115,4 @@ def batch_error(labels, preds) -> float:
         raise ValueError(f"verb rows {y_verb.shape} and state rows {y_state.shape} do not pair up")
     if not len(y_verb):
         raise ValueError("batch_error over an empty sample set is undefined")
-    return float(np.mean(_error_rows(y_verb, p_verb) + _error_rows(y_state, p_state)))
+    return float(np.mean(error_epsilon(y_verb, p_verb) + error_epsilon(y_state, p_state)))

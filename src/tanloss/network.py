@@ -47,8 +47,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import tangent_loss, tangent_loss_grad
-
 CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
 # The RMSProp settings a checkpoint stores next to the cache.
@@ -103,10 +101,11 @@ class ModelSizes:
 
     @classmethod
     def from_fingerprint(cls, fingerprint) -> "ModelSizes | None":
-        """The sizes a ``fingerprint()`` string names; None if it is not one."""
+        """The sizes a ``fingerprint()`` string names; None if it is not one
+        or names a size of 0."""
         found = re.fullmatch(r"in(\d+)-gru(\d+)x(\d+)-head(\d+)-v(\d+)-s(\d+)",
                              str(fingerprint))
-        if found is None:
+        if found is None or 0 in map(int, found.groups()):
             return None
         inp, gru1, gru2, head, verb, state = map(int, found.groups())
         return cls(input_dim=inp, verb_dim=verb, state_dim=state, gru1_hidden=gru1,
@@ -156,20 +155,19 @@ class ModelParams:
     sizes: ModelSizes
 
     def __post_init__(self):
-        shapes = _shapes(self.sizes)
-        size = sum(map(math.prod, shapes))
+        size = _count(self.sizes)
         data = self.data
         if data.dtype != np.float64 or data.shape != (size,) or not data.flags.c_contiguous:
             raise ValueError(f"parameter buffer must be contiguous float64 of shape ({size},), "
                              f"got {data.dtype} of shape {data.shape}")
-        arrays = _split(data, shapes)
+        arrays = _split(data, _shapes(self.sizes))
         self.gru1, self.gru2 = GruLayerParams(*arrays[:3]), GruLayerParams(*arrays[3:6])
         self.verb_head, self.state_head = MlpHeadParams(*arrays[6:10]), MlpHeadParams(*arrays[10:])
 
     @classmethod
     def new(cls, sizes: ModelSizes, alloc=np.zeros) -> "ModelParams":
         """Parameters of the given sizes over a new buffer from ``alloc``."""
-        return cls(alloc(sum(map(math.prod, _shapes(sizes)))), sizes)
+        return cls(alloc(_count(sizes)), sizes)
 
     def like(self, data: np.ndarray) -> "ModelParams":
         """This layout over another flat buffer, such as a gradient buffer."""
@@ -196,6 +194,11 @@ def _shapes(s: ModelSizes) -> list[tuple[int, ...]]:
 
     return (gru(s.gru1_hidden, s.input_dim) + gru(s.gru2_hidden, s.gru1_hidden)
             + head(s.verb_dim) + head(s.state_dim))
+
+
+def _count(s: ModelSizes) -> int:
+    """Number of parameters in the layout."""
+    return sum(map(math.prod, _shapes(s)))
 
 
 def _split(data: np.ndarray, shapes) -> list[np.ndarray]:
@@ -564,9 +567,15 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         params = cache = None
         places: dict[str, np.ndarray] = {}
         if sizes is not None:
+            load_cache = optimizer and meta.get("rmsprop") is not None
+            # Check the layout against the file before allocating for it.
+            need = 8 * _count(sizes) * (2 if load_cache else 1)
+            if need > size - fh.tell():
+                raise CheckpointError(f"truncated checkpoint: {path} is too small for layout "
+                                      f"{meta['fingerprint']} ({need} bytes of arrays)")
             params = ModelParams.new(sizes, np.empty)
             places = params.flat()
-            if optimizer and meta.get("rmsprop") is not None:
+            if load_cache:
                 cache = params.like(np.empty_like(params.data))
                 places.update((f"rmsprop.{name}", arr) for name, arr in cache.flat().items())
         (n_arrays,) = struct.unpack("<I", take(4))
@@ -616,57 +625,3 @@ def check_fingerprint(found: str, expected: str) -> None:
         raise CheckpointError(
             f"checkpoint layout {found} does not match configured layout {expected}"
         )
-
-
-def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
-                   step: float = 1e-5, corrupt_backward: bool = False,
-                   lengths: tuple[int, ...] = (3, 5)) -> float:
-    """Max relative error between backward() and central finite differences
-    of the batch-summed tangent loss, over sampled parameter coordinates, on
-    one batch of random sentences of the given lengths.
-
-    ``corrupt_backward`` deliberately scales the analytic gradients so tests
-    can confirm the harness actually detects a wrong backward pass.
-    """
-    from .corpus import Sample, pad_batch
-
-    rng = np.random.default_rng(seed)
-    params = init_params(sizes, seed)
-    samples = []
-    for length in lengths:
-        verb = np.zeros(sizes.verb_dim)
-        verb[rng.integers(0, sizes.verb_dim)] = 1.0
-        state = np.zeros(sizes.state_dim)
-        state[rng.integers(0, sizes.state_dim)] = 1.0
-        samples.append(Sample(
-            tokens=rng.integers(0, max(1, sizes.input_dim - 1), size=length).tolist(),
-            verb_label=verb, state_label=state,
-        ))
-    batch = pad_batch(samples, pad_index=sizes.input_dim - 1)
-
-    def total_loss(p):
-        verb_pred, state_pred, _ = forward(p, batch)
-        return (tangent_loss(batch.verb_labels, verb_pred)
-                + tangent_loss(batch.state_labels, state_pred))
-
-    verb_pred, state_pred, trace = forward(params, batch)
-    grads = params.like(np.empty_like(params.data))
-    backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb_pred),
-             tangent_loss_grad(batch.state_labels, state_pred), out=grads)
-    if corrupt_backward:
-        grads.data *= 1.01
-
-    theta = params.data
-    worst = 0.0
-    for coord in rng.choice(theta.size, size=min(n_coords, theta.size), replace=False):
-        original = theta[coord]
-        theta[coord] = original + step
-        up = total_loss(params)
-        theta[coord] = original - step
-        down = total_loss(params)
-        theta[coord] = original
-        fd = (up - down) / (2.0 * step)
-        analytic = grads.data[coord]
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
-        worst = max(worst, rel)
-    return worst

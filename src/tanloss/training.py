@@ -1,6 +1,7 @@
 """Training protocol: summed action/state tangent loss, RMSProp updates,
 periodic validation by the cross-entropy-gap error, checkpoint on strict
-improvement, and exact resume.
+improvement, and exact resume; and the finite-difference check of the
+backward pass against the same objective (``gradient_check``).
 
 Epoch shuffling is reseeded as shuffle_seed + epoch, so a run resumed from a
 checkpoint at epoch k replays epochs k+1..N exactly as a straight run would.
@@ -18,12 +19,12 @@ ends.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError, DatasetSplit, Vocabulary, make_batches
+from .corpus import DataError, DatasetSplit, Sample, Vocabulary, make_batches, pad_batch
 from .losses import batch_error, tangent_loss, tangent_loss_grad
 from .network import (Checkpoint, CheckpointError, ModelParams, ModelSizes, backward,
                       check_fingerprint, forward, init_params, load_checkpoint,
@@ -64,13 +65,7 @@ class TrainLogRecord:
     wall_time_ms: int
 
     def to_json(self) -> str:
-        return json.dumps({
-            "epoch": self.epoch,
-            "mean_total_loss": self.mean_total_loss,
-            "validation_error": self.validation_error,
-            "checkpoint_saved": self.checkpoint_saved,
-            "wall_time_ms": self.wall_time_ms,
-        })
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -86,7 +81,8 @@ class TrainResult:
 
 
 def total_loss(verb_pred, verb_label, state_pred, state_label) -> float:
-    """Action loss plus state loss for one sample."""
+    """Action loss plus state loss: the training objective, for one sample
+    (vectors) or summed over a batch (matrices, one row per sample)."""
     return tangent_loss(verb_label, verb_pred) + tangent_loss(state_label, state_pred)
 
 
@@ -167,8 +163,7 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
         for batch in make_batches(split.train, config.batch_size,
                                   seed=config.shuffle_seed + epoch, pad_index=pad_index):
             verb_pred, state_pred, trace = forward(params, batch)
-            loss_sum += (tangent_loss(batch.verb_labels, verb_pred)
-                         + tangent_loss(batch.state_labels, state_pred))
+            loss_sum += total_loss(verb_pred, batch.verb_labels, state_pred, batch.state_labels)
             # The gradient of the batch mean, so that lr does not depend on
             # the batch size.
             verb_grad = tangent_loss_grad(batch.verb_labels, verb_pred) / len(batch)
@@ -254,3 +249,49 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) ->
         raise CheckpointError(f"{checkpoint_path} carries no optimizer state; cannot resume")
     return _run_epochs(config, split, vocabs, ckpt.params, RmsPropState(**ckpt.rmsprop),
                        start_epoch=ckpt.epoch, best_err=ckpt.best_val_error)
+
+
+def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
+                   lengths: tuple[int, ...] = (3, 5)) -> float:
+    """Max relative error between backward() and central finite differences
+    of the batch-summed training objective (``total_loss``), over sampled
+    parameter coordinates, on one batch of random sentences of the given
+    lengths."""
+    step = 1e-5
+    rng = np.random.default_rng(seed)
+    params = init_params(sizes, seed)
+    samples = []
+    for length in lengths:
+        verb = np.zeros(sizes.verb_dim)
+        verb[rng.integers(0, sizes.verb_dim)] = 1.0
+        state = np.zeros(sizes.state_dim)
+        state[rng.integers(0, sizes.state_dim)] = 1.0
+        samples.append(Sample(
+            tokens=rng.integers(0, max(1, sizes.input_dim - 1), size=length).tolist(),
+            verb_label=verb, state_label=state,
+        ))
+    batch = pad_batch(samples, pad_index=sizes.input_dim - 1)
+
+    def objective():
+        verb_pred, state_pred, _ = forward(params, batch)
+        return total_loss(verb_pred, batch.verb_labels, state_pred, batch.state_labels)
+
+    verb_pred, state_pred, trace = forward(params, batch)
+    grads = params.like(np.empty_like(params.data))
+    backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb_pred),
+             tangent_loss_grad(batch.state_labels, state_pred), out=grads)
+
+    theta = params.data
+    worst = 0.0
+    for coord in rng.choice(theta.size, size=min(n_coords, theta.size), replace=False):
+        original = theta[coord]
+        theta[coord] = original + step
+        up = objective()
+        theta[coord] = original - step
+        down = objective()
+        theta[coord] = original
+        fd = (up - down) / (2.0 * step)
+        analytic = grads.data[coord]
+        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
+        worst = max(worst, rel)
+    return worst

@@ -3,7 +3,22 @@ import time
 
 import pytest
 
-from tanloss import cli
+from tanloss import cli, training
+
+
+@pytest.fixture
+def wrong_backward(monkeypatch):
+    """Make ``training.backward`` scale every gradient it writes by 1.01: a
+    wrong backward pass that a gradient check must catch."""
+    original = training.backward
+
+    def scaled(*args, **kwargs):
+        grads = original(*args, **kwargs)
+        for grad in grads.values():
+            grad *= 1.01
+        return grads
+
+    monkeypatch.setattr(training, "backward", scaled)
 
 
 @pytest.fixture(scope="session")

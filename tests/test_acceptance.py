@@ -25,11 +25,10 @@ from tanloss.corpus import Sample, SyntheticConfig, generate_synthetic_corpus, p
     split_dataset
 from tanloss.losses import (BOUNDED_COEFF, SCALE, cross_entropy, error_epsilon, softmax_pmf,
                             tangent_loss, tangent_loss_grad)
-from tanloss.network import (ModelSizes, forward, gradient_check, init_params, load_checkpoint,
-                             save_checkpoint)
+from tanloss.network import ModelSizes, forward, init_params, load_checkpoint, save_checkpoint
 from tanloss.network import Checkpoint
 from tanloss.optim import RmsPropState, rmsprop_step
-from tanloss.training import TrainConfig, resume, train
+from tanloss.training import TrainConfig, gradient_check, resume, train
 
 mp.mp.dps = 40
 

@@ -218,19 +218,29 @@ class TestEval:
         assert stored.fingerprint() in err and wider.fingerprint() in err
 
 
-class TestCheckpointMetadata:
-    """A checkpoint whose metadata cannot be used fails eval and resume with
-    exit 1 and one line naming the file and the key, not a traceback."""
+def with_gru1(meta, size):
+    return {**meta, "fingerprint": meta["fingerprint"].replace("-gru8x", f"-gru{size}x")}
 
-    @pytest.mark.parametrize("command", ["eval", "resume"])
+
+class TestCheckpointMetadata:
+    """A checkpoint whose metadata cannot be used fails eval, predict and
+    resume with exit 1 and one line naming the file and what is wrong, not a
+    traceback.  A layout too big for the file (4000000 hidden units would
+    need hundreds of TiB) is refused before anything is allocated."""
+
+    @pytest.mark.parametrize("command", ["eval", "resume", "predict"])
     @pytest.mark.parametrize("edit, named", [
         (lambda meta: {k: v for k, v in meta.items() if k != "epoch"}, "lacks 'epoch'"),
         (lambda meta: {**meta, "rmsprop": {"lr": 1e-4, "rho": 0.9}}, "lacks 'rmsprop.eps'"),
         (lambda meta: {**meta, "epoch": "3"}, "'epoch' has the wrong type"),
         (lambda meta: list(meta.items()), "not a JSON object"),
         (lambda meta: b"not json", "unreadable checkpoint metadata"),
-    ], ids=["no-epoch", "no-rmsprop-eps", "text-epoch", "list", "not-json"])
-    def test_bad_metadata_is_named(self, mini_run, tmp_path, capsys, command, edit, named):
+        (lambda meta: with_gru1(meta, 4000000), "too small for layout"),
+        (lambda meta: with_gru1(meta, 0), "unrecognized layout fingerprint"),
+    ], ids=["no-epoch", "no-rmsprop-eps", "text-epoch", "list", "not-json", "huge-layout",
+            "zero-size"])
+    def test_bad_metadata_is_named(self, mini_run, tmp_path, capsys, monkeypatch, command, edit,
+                                   named):
         blob = (mini_run["ckpt"] / "ckpt_best.bin").read_bytes()
         (meta_len,) = struct.unpack("<I", blob[8:12])
         meta = edit(json.loads(blob[12:12 + meta_len]))
@@ -238,8 +248,11 @@ class TestCheckpointMetadata:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta + blob[12 + meta_len:])
         corpus = mini_run["corpus"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("mix the batter\n"))
         if command == "eval":
             argv = ["eval", "--ckpt", str(bad), "--data", str(corpus / "samples.jsonl")]
+        elif command == "predict":
+            argv = ["predict", "--ckpt", str(bad)]
         else:
             argv = ["train", "--data", str(corpus / "samples.jsonl"), "--vocab-dir", str(corpus),
                     "--ckpt-dir", str(tmp_path / "k"), "--epochs", "8", "--batch-size", "16",
@@ -401,8 +414,8 @@ class TestGradcheck:
         code, _, _ = run(capsys, "gradcheck", "--sizes", "6,1,1,1,2")
         assert code == 0
 
-    def test_corrupted_backward_fails(self, capsys):
-        code, _, _ = run(capsys, "gradcheck", "--corrupt-backward")
+    def test_corrupted_backward_fails(self, capsys, wrong_backward):
+        code, _, _ = run(capsys, "gradcheck")
         assert code == 1
 
     def test_bad_sizes_flag(self, capsys):

@@ -4,11 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tanloss.corpus import Sample, SyntheticConfig, generate_synthetic_corpus, pad_batch
-from tanloss.evaluation import (EvalReport, _one_missing_rows, binarize, evaluate,
-                                one_missing_match)
+from tanloss.evaluation import EvalReport, binarize, evaluate, one_missing_match
 from tanloss.network import ModelSizes, forward, init_params
 
 index_sets = st.sets(st.integers(0, 6), max_size=5)
+
+
+def member(items, size=7):
+    """The boolean membership vector of a set of indices below ``size``."""
+    vector = np.zeros(size, dtype=bool)
+    vector[list(items)] = True
+    return vector
 
 
 class TestBinarize:
@@ -29,42 +35,43 @@ class TestBinarize:
 
 class TestOneMissingMatch:
     def test_one_missing_is_tolerated(self):
-        assert one_missing_match({0}, {0, 1})
+        assert one_missing_match(member({0}), member({0, 1}))
 
     def test_two_missing_fails(self):
-        assert not one_missing_match({0}, {0, 1, 2})
+        assert not one_missing_match(member({0}), member({0, 1, 2}))
 
     def test_extra_item_fails_under_subset_rule(self):
-        assert not one_missing_match({0, 3}, {0, 1})
+        assert not one_missing_match(member({0, 3}), member({0, 1}))
 
     def test_extra_item_passes_under_symmetric_rule(self):
-        assert one_missing_match({0, 3}, {0, 1}, mode="symmetric") is False  # diff size 2
-        assert one_missing_match({0, 1, 3}, {0, 1}, mode="symmetric")
+        # diff size 2
+        assert not one_missing_match(member({0, 3}), member({0, 1}), mode="symmetric")
+        assert one_missing_match(member({0, 1, 3}), member({0, 1}), mode="symmetric")
 
     def test_exact_match_passes(self):
-        assert one_missing_match({0, 1}, {0, 1})
+        assert one_missing_match(member({0, 1}), member({0, 1}))
 
     def test_empty_label_requires_empty_prediction(self):
-        assert one_missing_match(set(), set())
-        assert not one_missing_match({0}, set())
-        assert not one_missing_match({0}, set(), mode="symmetric")
+        assert one_missing_match(member(set()), member(set()))
+        assert not one_missing_match(member({0}), member(set()))
+        assert not one_missing_match(member({0}), member(set()), mode="symmetric")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            one_missing_match({0}, {0}, mode="loose")
+            one_missing_match(member({0}), member({0}), mode="loose")
 
     @given(index_sets, index_sets)
     def test_exact_match_implies_tolerant_match(self, pred, label):
         if pred == label:
-            assert one_missing_match(pred, label)
-            assert one_missing_match(pred, label, mode="symmetric")
+            assert one_missing_match(member(pred), member(label))
+            assert one_missing_match(member(pred), member(label), mode="symmetric")
 
     @given(index_sets)
     def test_tolerance_is_monotone(self, label):
         # Anything accepted by exact matching is accepted with tolerance.
         if label:
             dropped = set(sorted(label)[1:])
-            assert one_missing_match(dropped, label)
+            assert one_missing_match(member(dropped), member(label))
 
 
 TOY = ModelSizes(input_dim=8, verb_dim=3, state_dim=3, gru1_hidden=4, gru2_hidden=3,
@@ -144,15 +151,22 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode", ["subset", "symmetric"])
     def test_row_rule_matches_per_row_functions(self, mode):
+        def set_rule(pred: set, label: set, mode) -> bool:
+            if not label:
+                return not pred
+            if mode == "subset":
+                return pred <= label and len(label - pred) <= 1
+            return len(pred ^ label) <= 1
+
         rng = np.random.default_rng(5)
         for density in (0.1, 0.5, 0.9):
             pred_scores = rng.random((300, 6))
             label = rng.random((300, 6)) < density
             label[:20] = False                      # empty labels
             pred_scores[10:20] = 0.0                # ... some with empty predictions
-            got = _one_missing_rows(pred_scores >= 0.5, label, mode)
-            want = [one_missing_match(binarize(pred_scores[r], 0.5),
-                                      set(np.flatnonzero(label[r]).tolist()), mode)
+            got = one_missing_match(pred_scores >= 0.5, label, mode)
+            want = [set_rule(binarize(pred_scores[r], 0.5),
+                             set(np.flatnonzero(label[r]).tolist()), mode)
                     for r in range(300)]
             assert got.tolist() == want
 
@@ -169,10 +183,8 @@ class TestEvaluate:
         for sample in samples:
             verb, state, _ = forward(params, pad_batch([sample], pad_index=7))
             want.append((
-                one_missing_match(binarize(verb[0], 0.45),
-                                  set(np.flatnonzero(sample.verb_label).tolist()), mode),
-                one_missing_match(binarize(state[0], 0.45),
-                                  set(np.flatnonzero(sample.state_label).tolist()), mode)))
+                bool(one_missing_match(verb[0] >= 0.45, sample.verb_label != 0, mode)),
+                bool(one_missing_match(state[0] >= 0.45, sample.state_label != 0, mode))))
         assert report.per_sample_flags == want
         assert report.action_accuracy == 100.0 * sum(v for v, _ in want) / 150
         assert report.state_accuracy == 100.0 * sum(s for _, s in want) / 150

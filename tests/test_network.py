@@ -7,9 +7,10 @@ import tanloss.network as network
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
 from tanloss.network import (Checkpoint, CheckpointError, ModelParams, ModelSizes, backward,
-                             check_fingerprint, forward, gradient_check, init_params,
-                             load_checkpoint, save_checkpoint)
+                             check_fingerprint, forward, init_params, load_checkpoint,
+                             save_checkpoint)
 from tanloss.optim import RmsPropState
+from tanloss.training import gradient_check
 
 TOY = ModelSizes(input_dim=6, verb_dim=2, state_dim=2, gru1_hidden=3, gru2_hidden=2, head_hidden=4)
 
@@ -290,8 +291,8 @@ class TestBackward:
     def test_single_sample_finite_differences(self):
         assert gradient_check(TOY, seed=9, n_coords=60) < 1e-4
 
-    def test_corrupted_backward_is_detected(self):
-        assert gradient_check(TOY, seed=9, n_coords=60, corrupt_backward=True) > 1e-4
+    def test_corrupted_backward_is_detected(self, wrong_backward):
+        assert gradient_check(TOY, seed=9, n_coords=60) > 1e-4
 
     def test_heads_are_independent(self):
         params = init_params(TOY, seed=6)
