@@ -26,7 +26,8 @@ import numpy as np
 
 from . import network
 from .corpus import (DataError, Sample, SyntheticConfig, generate_synthetic_corpus,
-                     ingest_jsonl, load_vocab, pad_batch, save_vocab, split_dataset, write_jsonl)
+                     ingest_jsonl, load_vocab, pad_batch, read_utf8, save_vocab, split_dataset,
+                     write_jsonl)
 from .evaluation import TOLERANCE_MODES, binarize, evaluate
 from .network import CheckpointError, ModelSizes, check_fingerprint, load_checkpoint
 from .training import TrainConfig, gradient_check, resume, train, vocabs_from_meta
@@ -74,7 +75,7 @@ def parse_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -55,6 +55,15 @@ class Vocabulary:
         return self.index_of.get(token, self.unk_index)
 
 
+def read_utf8(path: Path, error: type[Exception]) -> str:
+    """The text of the file ``path``; raises ``error`` naming the file if it
+    is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_vocab(path, with_pad: bool = False) -> Vocabulary:
     """Read a newline-delimited vocab file; UNK (and PAD if ``with_pad``)
     are appended when absent.  Blank lines and duplicates are rejected with
@@ -62,7 +71,7 @@ def load_vocab(path, with_pad: bool = False) -> Vocabulary:
     path = Path(path)
     if not path.exists():
         raise DataError(f"vocab file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path, DataError).splitlines()
     if not lines:
         raise DataError(f"vocab file is empty: {path}")
     for i, line in enumerate(lines):
@@ -125,35 +134,27 @@ def ingest_jsonl(path, text_vocab: Vocabulary, verb_vocab: Vocabulary,
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     samples = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise DataError(f"{path}: line {lineno}: record is not an object")
-            for key in ("tokens", "verbs", "states"):
-                if key not in record:
-                    raise DataError(f"{path}: line {lineno}: missing field {key!r}")
-                if not isinstance(record[key], list) or not all(
-                    isinstance(x, str) for x in record[key]
-                ):
-                    raise DataError(
-                        f"{path}: line {lineno}: field {key!r} must be a list of strings"
-                    )
-            if not record["tokens"]:
-                raise DataError(f"{path}: line {lineno}: empty tokens field")
-            samples.append(
-                Sample(
-                    tokens=[text_vocab.lookup(t) for t in record["tokens"]],
-                    verb_label=_multi_hot(record["verbs"], verb_vocab),
-                    state_label=_multi_hot(record["states"], state_vocab),
-                )
-            )
+    for lineno, line in enumerate(read_utf8(path, DataError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path}: line {lineno}: record is not an object")
+        for key in ("tokens", "verbs", "states"):
+            if key not in record:
+                raise DataError(f"{path}: line {lineno}: missing field {key!r}")
+            if not isinstance(record[key], list) or not all(isinstance(x, str)
+                                                             for x in record[key]):
+                raise DataError(f"{path}: line {lineno}: field {key!r} must be a list of strings")
+        if not record["tokens"]:
+            raise DataError(f"{path}: line {lineno}: empty tokens field")
+        samples.append(Sample(tokens=[text_vocab.lookup(t) for t in record["tokens"]],
+                              verb_label=_multi_hot(record["verbs"], verb_vocab),
+                              state_label=_multi_hot(record["states"], state_vocab)))
     return samples
 
 

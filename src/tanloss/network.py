@@ -35,7 +35,6 @@ Conventions fixed here and relied on by the test suite:
 Everything is float64 so finite-difference gradient checks are meaningful.
 """
 
-import io
 import json
 import math
 import os
@@ -456,9 +455,12 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: magic "TANL", u32 version, JSON metadata block, then a
-# named-array table of raw little-endian float64 data for a bit-exact round
-# trip.  GRU parameters are stored one array per gate.
+# Checkpointing: magic "TANL", u32 version, u32 metadata length, JSON
+# metadata, u32 array count, then the array table ``_table`` lists, each
+# array as its ``_header`` and raw little-endian float64 data, for a
+# bit-exact round trip.  GRU parameters are stored one array per gate.  Only
+# this table loads: the fingerprinted layout fixes every header and so the
+# file's length.
 # ---------------------------------------------------------------------------
 
 
@@ -472,23 +474,35 @@ class Checkpoint:
     vocabs: dict | None = None      # {"text": [...], "verb": [...], "state": [...]}
 
 
+def _table(params: ModelParams, cache: ModelParams | None = None) -> dict[str, np.ndarray]:
+    """The file's arrays in order: every parameter (PARAM_NAMES), then, with
+    a cache, each of its arrays as ``rmsprop.<name>``."""
+    table = params.flat()
+    if cache is not None:
+        table.update((f"rmsprop.{name}", arr) for name, arr in cache.flat().items())
+    return table
+
+
+def _header(name: str, arr: np.ndarray) -> bytes:
+    """An array's header: u16 name length, name, u8 ndim, u64 dims."""
+    name_bytes = name.encode()
+    return struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}Q", len(name_bytes), name_bytes,
+                       arr.ndim, *arr.shape)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``ckpt`` as a v1 file, one header and body per array, straight
     from its arrays.  The file is written under a temporary name in the same
     directory and renamed over ``path`` only when complete, so an error or a
     crash mid-write leaves any earlier file at ``path`` as it was."""
-    arrays = dict(ckpt.params.flat())
-    rmsprop_meta = None
-    if ckpt.rmsprop is not None:
-        rmsprop_meta = {k: ckpt.rmsprop[k] for k in RMSPROP_SETTINGS}
-        for name, arr in ckpt.rmsprop["cache"].flat().items():
-            arrays[f"rmsprop.{name}"] = arr
+    rmsprop = ckpt.rmsprop
+    arrays = _table(ckpt.params, None if rmsprop is None else rmsprop["cache"])
     meta = {
         "fingerprint": ckpt.params.sizes.fingerprint(),
         "epoch": ckpt.epoch,
         "best_val_error": None if np.isinf(ckpt.best_val_error) else ckpt.best_val_error,
         "seeds": ckpt.seeds,
-        "rmsprop": rmsprop_meta,
+        "rmsprop": None if rmsprop is None else {k: rmsprop[k] for k in RMSPROP_SETTINGS},
         "vocabs": ckpt.vocabs,
     }
     meta_bytes = json.dumps(meta).encode("utf-8")
@@ -501,11 +515,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(meta_bytes)
             fh.write(struct.pack("<I", len(arrays)))
             for name, arr in arrays.items():
-                name_bytes = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(name_bytes)))
-                fh.write(name_bytes)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(_header(name, arr))
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
@@ -515,7 +525,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def _check_meta(meta, path) -> None:
     """Raise CheckpointError, naming ``path`` and the key, unless the dict
-    ``meta`` holds every key of META_TYPES with a type it allows."""
+    ``meta`` holds every key of META_TYPES with a type it allows and each
+    stored vocabulary is a list of distinct strings."""
     meta.setdefault("vocabs", None)
     for name, types in META_TYPES.items():
         parent, _, key = name.rpartition(".")
@@ -524,22 +535,29 @@ def _check_meta(meta, path) -> None:
             continue
         if key not in obj:
             raise CheckpointError(f"checkpoint metadata lacks {name!r} in {path}")
-        if not isinstance(obj[key], types):
+        value = obj[key]
+        if not isinstance(value, types):
             raise CheckpointError(f"checkpoint metadata {name!r} has the wrong type "
-                                  f"({type(obj[key]).__name__}) in {path}")
+                                  f"({type(value).__name__}) in {path}")
+        # Fewer distinct strings than entries: a duplicate or a non-string.
+        if parent == "vocabs" and len({t for t in value if isinstance(t, str)}) != len(value):
+            raise CheckpointError(f"checkpoint metadata {name!r} is not a list of distinct "
+                                  f"strings in {path}")
 
 
 def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Stream a checkpoint from disk, reading each array straight into its
     place in one flat parameter buffer (see ``ModelParams``) and, for the
-    optimizer, one cache buffer with the same layout: no second copy.  The
-    buffers are laid out from the layout fingerprint in the metadata; every
-    stored array must then have the shape the layout gives it, and the other
-    metadata must hold the keys and types of META_TYPES.
+    optimizer, one cache buffer with the same layout: no second copy.
 
-    With ``optimizer=False`` the body of every ``rmsprop.*`` array is skipped
-    (its header and size are still checked) and ``rmsprop`` is None: what
-    inference needs, for half the bytes read.
+    The metadata must name a layout fingerprint and hold the keys and types
+    of META_TYPES.  The layout then fixes the file: only the table that
+    ``save_checkpoint`` writes for it loads, with each array's header as
+    written, and the file's length must be that table's to the byte.  The
+    length is checked before anything is allocated.
+
+    With ``optimizer=False`` the read stops after the parameters and
+    ``rmsprop`` is None: what inference needs, for half the bytes read.
     """
     path = Path(path)
     if not path.exists():
@@ -547,13 +565,15 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     size = path.stat().st_size
     with path.open("rb") as fh:
         def take(n):
-            chunk = fh.read(n)
-            if len(chunk) < n:
+            if n > size - fh.tell() or len(chunk := fh.read(n)) < n:
                 raise CheckpointError(f"truncated checkpoint: {path}")
             return chunk
 
-        if take(4) != CKPT_MAGIC:
-            raise CheckpointError(f"not a checkpoint file (bad magic): {path}")
+        def expect(data, what):
+            if take(len(data)) != data:
+                raise CheckpointError(f"{what}: {path}")
+
+        expect(CKPT_MAGIC, "not a checkpoint file (bad magic)")
         version, meta_len = struct.unpack("<II", take(8))
         if version != CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
@@ -564,49 +584,33 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         if not isinstance(meta, dict):
             raise CheckpointError(f"checkpoint metadata is not a JSON object in {path}")
         sizes = ModelSizes.from_fingerprint(meta.get("fingerprint"))
-        params = cache = None
-        places: dict[str, np.ndarray] = {}
-        if sizes is not None:
-            load_cache = optimizer and meta.get("rmsprop") is not None
-            # Check the layout against the file before allocating for it.
-            need = 8 * _count(sizes) * (2 if load_cache else 1)
-            if need > size - fh.tell():
-                raise CheckpointError(f"truncated checkpoint: {path} is too small for layout "
-                                      f"{meta['fingerprint']} ({need} bytes of arrays)")
-            params = ModelParams.new(sizes, np.empty)
-            places = params.flat()
-            if load_cache:
-                cache = params.like(np.empty_like(params.data))
-                places.update((f"rmsprop.{name}", arr) for name, arr in cache.flat().items())
-        (n_arrays,) = struct.unpack("<I", take(4))
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", take(2))
-            name = take(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", take(1))
-            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-            # Check the size against the file before reading or skipping it.
-            if 8 * math.prod(shape) > size - fh.tell():
-                raise CheckpointError(f"truncated checkpoint: {path}")
-            arr = places.pop(name, None)
-            if arr is None:     # rmsprop.* for inference, or an unknown array
-                fh.seek(8 * math.prod(shape), io.SEEK_CUR)
-                continue
-            if shape != arr.shape:
-                raise CheckpointError(f"{name} has shape {shape}, expected {arr.shape}")
+        if sizes is None:
+            raise CheckpointError(f"unrecognized layout fingerprint {meta.get('fingerprint')!r} "
+                                  f"in {path}")
+        _check_meta(meta, path)
+
+        # Header widths do not depend on the sizes, so a one-unit model's
+        # table gives the headers' length and count.
+        stored = meta["rmsprop"] is not None
+        unit = ModelParams.new(ModelSizes(1, 1, 1, 1, 1, 1))
+        headers = [_header(*item) for item in _table(unit, unit if stored else None).items()]
+        expected = fh.tell() + 4 + sum(map(len, headers)) + 8 * _count(sizes) * (1 + stored)
+        if size != expected:
+            small = size < expected
+            raise CheckpointError(f"{'truncated' if small else 'trailing bytes in'} checkpoint: "
+                                  f"{path} is too {'small' if small else 'large'} for layout "
+                                  f"{meta['fingerprint']} ({size} bytes, not {expected})")
+        expect(struct.pack("<I", len(headers)), f"checkpoint does not hold {len(headers)} arrays")
+
+        params = ModelParams.new(sizes, np.empty)
+        cache = params.like(np.empty_like(params.data)) if optimizer and stored else None
+        for name, arr in _table(params, cache).items():
+            kind = "optimizer" if name.startswith("rmsprop.") else "parameter"
+            expect(_header(name, arr), f"checkpoint missing {kind} array {name!r}")
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated checkpoint: {path}")
             if sys.byteorder != "little":
                 arr.byteswap(inplace=True)
-        if fh.read(1):
-            raise CheckpointError(f"trailing bytes in checkpoint: {path}")
-
-    if sizes is None:
-        raise CheckpointError(f"unrecognized layout fingerprint {meta.get('fingerprint')!r} "
-                              f"in {path}")
-    for name in places:
-        kind = "optimizer" if name.startswith("rmsprop.") else "parameter"
-        raise CheckpointError(f"checkpoint missing {kind} array {name!r}")
-    _check_meta(meta, path)
 
     best = meta["best_val_error"]
     return Checkpoint(

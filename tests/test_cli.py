@@ -68,20 +68,33 @@ class TestTrain:
     def test_nonexistent_data_file_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "c"
         assert cli.main(["gen-synthetic", "--out", str(corpus), "--count", "10"]) == 0
-        code, _, err = run(capsys, "train", "--data", str(tmp_path / "missing.jsonl"),
-                           "--vocab-dir", str(corpus), "--ckpt-dir", str(tmp_path / "k"),
-                           "--epochs", "1")
-        assert code == 3
-        assert "data error" in err
+        # A missing dataset, and a dataset or a vocab file that is not UTF-8.
+        (tmp_path / "latin1.jsonl").write_bytes(b'{"tokens": ["caf\xe9"]}\n')
+        bad_vocab = tmp_path / "v"
+        bad_vocab.mkdir()
+        for name in ("text.vocab", "verb.vocab", "state.vocab"):
+            (bad_vocab / name).write_bytes((corpus / name).read_bytes())
+        (bad_vocab / "verb.vocab").write_bytes(b"stir\n\xff\n")
+        for data, vocab_dir, named in [
+            (tmp_path / "missing.jsonl", corpus, tmp_path / "missing.jsonl"),
+            (tmp_path / "latin1.jsonl", corpus, tmp_path / "latin1.jsonl"),
+            (corpus / "samples.jsonl", bad_vocab, bad_vocab / "verb.vocab"),
+        ]:
+            code, _, err = run(capsys, "train", "--data", str(data), "--vocab-dir", str(vocab_dir),
+                               "--ckpt-dir", str(tmp_path / "k"), "--epochs", "1")
+            assert code == 3
+            assert "data error" in err and str(named) in err
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
-        for line in ("no_such_key = 5", "batch_reduction = sum", "rho = 0.5", "eps = 1e-6",
-                     "grad_clip = 1.0"):
-            (tmp_path / "bad.cfg").write_text(line + "\n")
+        cases = [(line.encode(), "unknown key") for line in (
+            "no_such_key = 5", "batch_reduction = sum", "rho = 0.5", "eps = 1e-6",
+            "grad_clip = 1.0")]
+        for content, named in cases + [(b"epochs = 2 # \xe9poques", "not UTF-8")]:
+            (tmp_path / "bad.cfg").write_bytes(content + b"\n")
             code, _, err = run(capsys, "train", "--data", "x", "--vocab-dir", "y",
                                "--ckpt-dir", "z", "--config", str(tmp_path / "bad.cfg"))
             assert code == 2
-            assert "unknown key" in err
+            assert named in err and str(tmp_path / "bad.cfg") in err
 
     def test_config_file_keys_are_the_train_flags(self):
         args = cli._build_parser().parse_args(["train", "--data", "d", "--vocab-dir", "v",
@@ -222,6 +235,12 @@ def with_gru1(meta, size):
     return {**meta, "fingerprint": meta["fingerprint"].replace("-gru8x", f"-gru{size}x")}
 
 
+def with_second_token(meta, token):
+    """``meta`` with ``token`` in place of the text vocabulary's second entry."""
+    text = meta["vocabs"]["text"]
+    return {**meta, "vocabs": {**meta["vocabs"], "text": [text[0], token, *text[2:]]}}
+
+
 class TestCheckpointMetadata:
     """A checkpoint whose metadata cannot be used fails eval, predict and
     resume with exit 1 and one line naming the file and what is wrong, not a
@@ -237,8 +256,11 @@ class TestCheckpointMetadata:
         (lambda meta: b"not json", "unreadable checkpoint metadata"),
         (lambda meta: with_gru1(meta, 4000000), "too small for layout"),
         (lambda meta: with_gru1(meta, 0), "unrecognized layout fingerprint"),
+        (lambda meta: with_second_token(meta, {}), "'vocabs.text' is not a list of distinct"),
+        (lambda meta: with_second_token(meta, meta["vocabs"]["text"][0]),
+         "'vocabs.text' is not a list of distinct"),
     ], ids=["no-epoch", "no-rmsprop-eps", "text-epoch", "list", "not-json", "huge-layout",
-            "zero-size"])
+            "zero-size", "vocab-entry-not-text", "vocab-duplicate"])
     def test_bad_metadata_is_named(self, mini_run, tmp_path, capsys, monkeypatch, command, edit,
                                    named):
         blob = (mini_run["ckpt"] / "ckpt_best.bin").read_bytes()
