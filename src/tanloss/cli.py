@@ -195,7 +195,7 @@ def cmd_train(args) -> int:
         print(f"training on {len(split.train)} samples, validating on "
               f"{len(split.validation)}, {config.epochs} epochs", file=sys.stderr)
     if args.resume:
-        result = resume(args.resume, config, split, vocabs)
+        result = resume(args.resume, config, split, vocabs, lr_configured="lr" in overrides)
     else:
         result = train(config, split, vocabs)
     validations = [r for r in result.records if r.validation_error is not None]

@@ -142,6 +142,8 @@ def ingest_jsonl(path, text_vocab: Vocabulary, verb_vocab: Vocabulary,
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line {lineno}: not valid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise DataError(f"{path}: line {lineno}: JSON nested too deeply") from None
         if not isinstance(record, dict):
             raise DataError(f"{path}: line {lineno}: record is not an object")
         for key in ("tokens", "verbs", "states"):

@@ -25,12 +25,25 @@ Conventions fixed here and relied on by the test suite:
     outputs and gradients cannot depend on padding.
   * Work is laid out layer by layer over the "packed" steps (step-major, the
     k_t running rows of each step, sum(lengths) rows in all): layer 1 runs
-    over every step, then layer 2's input projections for all steps are one
-    GEMM.  Backward sweeps layer 2, turns its gate deltas into layer 1's
+    over every step, then layer 2's input projections for all steps are two
+    GEMMs (z and r, then hc).  Backward sweeps layer 2, turns its gate deltas into layer 1's
     input gradient with one GEMM, sweeps layer 1, and forms each weight
     gradient after its sweep as one GEMM over all packed steps.
-  * The one-hot input is never materialized: input-to-hidden products select
-    a column of W, and their gradients are summed per token.
+  * A layer's trace holds z and r in one array and hc in another, so the
+    rows of a step are one contiguous block of each and the step's numpy
+    calls run on contiguous memory.
+  * BPTT hoists what depends on the trace alone.  With g = dL/dh', the
+    deltas are dz = g (hc - h) z (1 - z), dhc = g z (1 - hc^2) and
+    dr = (dhc U_h) h r (1 - r), and g (1 - z) carries g back to h.  These
+    trace factors are formed for every packed row before the sweep, the
+    first three in the deltas buffer itself, so a step is a few elementwise
+    calls and its two GEMMs; step 0, which starts from the zero state,
+    needs neither GEMM.
+  * The one-hot input is never materialized in forward: input-to-hidden
+    products select a column of W.  Its gradient is one GEMM of layer 1's
+    deltas with a one-hot matrix over the tokens present in the batch, so
+    its cost is bounded by the batch, not the vocabulary; the columns of
+    absent tokens are zero.
 
 Everything is float64 so finite-difference gradient checks are meaningful.
 """
@@ -71,13 +84,16 @@ class CheckpointError(RuntimeError):
     """Unreadable checkpoint file or layout mismatch with the current config."""
 
 
+_HALF, _ONE = np.float64(0.5), np.float64(1.0)
+
+
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5*tanh(x/2) + 0.5: one transcendental call and
     no overflow branch."""
-    out = np.multiply(x, 0.5, out=out)
+    out = np.multiply(x, _HALF, out=out)
     np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
+    out *= _HALF
+    out += _HALF
     return out
 
 
@@ -227,60 +243,15 @@ def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
     return params
 
 
-def _cell(U: np.ndarray, h: np.ndarray | None, gates: np.ndarray, rh: np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """One GRU step for a vector or a block of rows.
-
-    ``gates`` (..., 3n) holds the input projection W x + b on entry and is
-    overwritten with z, r, hc.  Writes r*h into ``rh`` and returns h' (into
-    ``out`` when given).  ``h=None`` is the zero state, whose recurrent
-    products vanish and are skipped.
-    """
-    n = U.shape[1]
-    zr, hc = gates[..., :2 * n], gates[..., 2 * n:]
-    if h is None:
-        _sigmoid(zr, out=zr)
-        rh[...] = 0.0
-        np.tanh(hc, out=hc)
-        return np.multiply(gates[..., :n], hc, out=out)
-    zr += h @ U[:2 * n].T
-    _sigmoid(zr, out=zr)
-    np.multiply(gates[..., n:2 * n], h, out=rh)
-    hc += rh @ U[2 * n:].T
-    np.tanh(hc, out=hc)
-    out = np.subtract(hc, h, out=out)
-    out *= gates[..., :n]
-    out += h
-    return out
-
-
-def _cell_backward(U: np.ndarray, dh: np.ndarray, h: np.ndarray | None, gates: np.ndarray,
-                   deltas: np.ndarray) -> np.ndarray | None:
-    """Reverse of ``_cell`` for a block of rows: given dL/dh', writes the
-    pre-activation deltas [dz; dr; dhc] into ``deltas`` and returns dL/dh
-    (None for the zero state, whose gradient nobody needs)."""
-    n = U.shape[1]
-    z, r, hc = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:]
-    dz, dr, dhc = deltas[:, :n], deltas[:, n:2 * n], deltas[:, 2 * n:]
-    # h' = h + z*(hc - h)
-    np.multiply(dh * z, 1.0 - hc * hc, out=dhc)
-    if h is None:
-        np.multiply(dh * hc, z * (1.0 - z), out=dz)
-        dr[...] = 0.0
-        return None
-    np.multiply(dh * (hc - h), z * (1.0 - z), out=dz)
-    d_rh = dhc @ U[2 * n:]
-    np.multiply(d_rh * h, r * (1.0 - r), out=dr)
-    return dh * (1.0 - z) + d_rh * r + deltas[:, :2 * n] @ U[:2 * n]
-
-
 @dataclass
 class LayerTrace:
     """One GRU layer's activations over the packed steps (see the module
-    docstring), row block [lo, hi) per step."""
+    docstring), row block [lo, hi) per step.  The gates are two arrays, so
+    that a step's rows of each are one contiguous block."""
 
     h_in: np.ndarray      # (N, n) state entering the step
-    gates: np.ndarray     # (N, 3n) z, r, hc after their nonlinearities
+    zr: np.ndarray        # (N, 2n) z, r after their sigmoid
+    hc: np.ndarray        # (N, n) candidate state after its tanh
     rh: np.ndarray        # (N, n) r * h_in, the input of U_h
     h_out: np.ndarray     # (N, n) state leaving the step
 
@@ -300,18 +271,33 @@ class ForwardTrace:
     state_head: tuple
 
 
-def _layer_forward(U: np.ndarray, gates: np.ndarray, blocks: list) -> LayerTrace:
-    """Run one layer over every packed step; ``gates`` holds the input
-    projections on entry (see ``_cell``)."""
-    N, n = gates.shape[0], U.shape[1]
-    lt = LayerTrace(np.zeros((N, n)), gates, np.empty((N, n)), np.empty((N, n)))
+def _layer_forward(layer: GruLayerParams, project, blocks: list) -> LayerTrace:
+    """Run one layer over every packed step; ``project(W)`` is the input
+    projection of every packed row by a row block ``W`` of the layer's W."""
+    U, n = layer.U, layer.U.shape[1]
+    zr = project(layer.W[:2 * n])
+    zr += layer.b[:2 * n]
+    hc = project(layer.W[2 * n:])
+    hc += layer.b[2 * n:]
+    N = len(zr)
+    # h_in and rh are zero on the rows of step 0.
+    lt = LayerTrace(np.zeros((N, n)), zr, hc, np.zeros((N, n)), np.empty((N, n)))
     for t, (lo, hi) in enumerate(blocks):
-        h = None
+        z_r, c, h, h_out = zr[lo:hi], hc[lo:hi], lt.h_in[lo:hi], lt.h_out[lo:hi]
+        # Step 0 starts from the zero state, whose recurrent products vanish.
         if t:
             # The running rows of step t are the first hi-lo rows of step t-1.
-            h = lt.h_in[lo:hi]
             h[...] = lt.h_out[blocks[t - 1][0]:][:hi - lo]
-        _cell(U, h, gates[lo:hi], lt.rh[lo:hi], out=lt.h_out[lo:hi])
+            z_r += h @ U[:2 * n].T
+        _sigmoid(z_r, out=z_r)
+        if t:
+            rh = np.multiply(z_r[:, n:], h, out=lt.rh[lo:hi])
+            c += rh @ U[2 * n:].T
+        np.tanh(c, out=c)
+        # h' = h + z * (hc - h)
+        np.subtract(c, h, out=h_out)
+        h_out *= z_r[:, :n]
+        h_out += h
     return lt
 
 
@@ -353,12 +339,8 @@ def forward(params: ModelParams, batch):
     packed = tokens[order, :T].T[running]
 
     # One-hot input: the projection of token j is column j of W.
-    x1 = g1.W.T[packed]
-    x1 += g1.b
-    l1 = _layer_forward(g1.U, x1, blocks)
-    x2 = l1.h_out @ g2.W.T
-    x2 += g2.b
-    l2 = _layer_forward(g2.U, x2, blocks)
+    l1 = _layer_forward(g1, lambda W: W.T[packed], blocks)
+    l2 = _layer_forward(g2, lambda W: l1.h_out @ W.T, blocks)
 
     h_final = np.empty((B, g2.U.shape[1]))
     h_final[order] = l2.h_out[starts[sorted_lengths - 1] + np.arange(B)]
@@ -387,17 +369,41 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
     """Sweep one layer back over the packed steps, starting from dL/dh in
     ``dh`` (B, n, running order; updated in place).  ``dx`` adds the
     gradient that arrives through each step's output from the layer above.
-    Returns the pre-activation deltas (N, 3n)."""
-    deltas = np.empty_like(lt.gates)
-    for i in range(len(blocks) - 1, -1, -1):
-        lo, hi = blocks[i]
-        k = hi - lo
+    Returns the pre-activation deltas [dz; dr; dhc] (N, 3n).
+
+    The trace factors of the deltas (see the module docstring) are formed
+    for every packed row before the sweep, in the deltas buffer itself, and
+    each step scales its rows of them into deltas."""
+    n = U.shape[1]
+    z, r, hc, h = lt.zr[:, :n], lt.zr[:, n:], lt.hc, lt.h_in
+    deltas = np.empty((len(h), 3 * n))
+    dz, dr, dhc = deltas[:, :n], deltas[:, n:2 * n], deltas[:, 2 * n:]
+    # In place, as a temporary per factor would raise the peak memory.
+    keep = np.subtract(_ONE, z)             # dh'/dh along h' = (1 - z) h + z hc
+    np.subtract(hc, h, out=dz)              # (hc - h) z (1 - z)
+    dz *= z
+    dz *= keep
+    np.subtract(_ONE, r, out=dr)            # h r (1 - r): zero at step 0, where h is
+    dr *= r
+    dr *= h
+    np.multiply(hc, hc, out=dhc)            # z (1 - hc^2)
+    np.subtract(_ONE, dhc, out=dhc)
+    dhc *= z
+    for i, (lo, hi) in reversed(list(enumerate(blocks))):
+        g = dh[:hi - lo]
         if dx is not None:
-            dh[:k] += dx[lo:hi]
-        d_prev = _cell_backward(U, dh[:k], lt.h_in[lo:hi] if i else None,
-                                lt.gates[lo:hi], deltas[lo:hi])
-        if d_prev is not None:
-            dh[:k] = d_prev
+            g += dx[lo:hi]
+        dz[lo:hi] *= g
+        dhc[lo:hi] *= g
+        if i == 0:
+            break   # nothing needs the zero state's gradient
+        d_rh = dhc[lo:hi] @ U[2 * n:]
+        dr[lo:hi] *= d_rh
+        # dL/dh = dh' (1 - z) + d_rh r + [dz; dr] U_zr
+        g *= keep[lo:hi]
+        d_rh *= r[lo:hi]
+        g += d_rh
+        g += deltas[lo:hi, :2 * n] @ U[:2 * n]
     return deltas
 
 
@@ -525,8 +531,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def _check_meta(meta, path) -> None:
     """Raise CheckpointError, naming ``path`` and the key, unless the dict
-    ``meta`` holds every key of META_TYPES with a type it allows and each
-    stored vocabulary is a list of distinct strings."""
+    ``meta`` holds every key of META_TYPES with a type it allows, each integer
+    where a float may stand converts to one (in place), and each stored
+    vocabulary is a list of distinct strings."""
     meta.setdefault("vocabs", None)
     for name, types in META_TYPES.items():
         parent, _, key = name.rpartition(".")
@@ -536,9 +543,16 @@ def _check_meta(meta, path) -> None:
         if key not in obj:
             raise CheckpointError(f"checkpoint metadata lacks {name!r} in {path}")
         value = obj[key]
-        if not isinstance(value, types):
+        # A JSON boolean decodes as a Python int, but is no number here.
+        if isinstance(value, bool) or not isinstance(value, types):
             raise CheckpointError(f"checkpoint metadata {name!r} has the wrong type "
                                   f"({type(value).__name__}) in {path}")
+        if isinstance(value, int) and isinstance(0.0, types):
+            try:
+                obj[key] = float(value)
+            except OverflowError:
+                raise CheckpointError(f"checkpoint metadata {name!r} is too large for a float "
+                                      f"in {path}") from None
         # Fewer distinct strings than entries: a duplicate or a non-string.
         if parent == "vocabs" and len({t for t in value if isinstance(t, str)}) != len(value):
             raise CheckpointError(f"checkpoint metadata {name!r} is not a list of distinct "
@@ -616,7 +630,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     return Checkpoint(
         params=params,
         epoch=meta["epoch"],
-        best_val_error=np.inf if best is None else float(best),
+        best_val_error=np.inf if best is None else best,
         seeds=meta["seeds"],
         rmsprop=None if cache is None else dict(
             cache=cache, **{k: meta["rmsprop"][k] for k in RMSPROP_SETTINGS}),

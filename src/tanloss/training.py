@@ -18,6 +18,7 @@ ends.
 """
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -225,14 +226,17 @@ def train(config: TrainConfig, split: DatasetSplit, vocabs) -> TrainResult:
     return _run_epochs(config, split, vocabs, params, opt, start_epoch=0, best_err=np.inf)
 
 
-def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) -> TrainResult:
+def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs,
+           lr_configured: bool = False) -> TrainResult:
     """Continue training from a stored checkpoint up to config.epochs.
 
     The checkpoint's layout fingerprint must match the configured layer
     sizes, and the vocabularies it stores must equal ``vocabs`` token for
     token; optimizer hyperparameters and state come from the checkpoint so
-    the continuation is exact.  Resuming with config.epochs equal to the
-    stored epoch runs nothing and leaves parameters untouched.
+    the continuation is exact.  With ``lr_configured`` (config.lr was set
+    by the user), a config.lr that differs from the checkpoint's is named
+    in one line on stderr.  Resuming with config.epochs equal to the stored
+    epoch runs nothing and leaves parameters untouched.
     """
     _check_config(config)
     _check_split(split)
@@ -247,6 +251,9 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs) ->
                                       f"from the one given")
     if ckpt.rmsprop is None:
         raise CheckpointError(f"{checkpoint_path} carries no optimizer state; cannot resume")
+    if lr_configured and config.lr != ckpt.rmsprop["lr"]:
+        print(f"note: resuming with the checkpoint's lr {ckpt.rmsprop['lr']!r}, not the "
+              f"configured {config.lr!r}", file=sys.stderr)
     return _run_epochs(config, split, vocabs, ckpt.params, RmsPropState(**ckpt.rmsprop),
                        start_epoch=ckpt.epoch, best_err=ckpt.best_val_error)
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -11,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tanloss
 from tanloss import cli, network
+from tanloss.corpus import DataError, ingest_jsonl, load_vocab
 
 
 def run(capsys, *argv):
@@ -153,6 +157,32 @@ class TestTrain:
                for line in (tmp_path / "k" / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in log] == [1, 2, 3, 4, 5]
 
+    def test_resume_names_a_configured_lr_it_does_not_use(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["gen-synthetic", "--out", str(corpus), "--count", "30"]) == 0
+        base = ["--data", str(corpus / "samples.jsonl"), "--vocab-dir", str(corpus),
+                "--gru1", "4", "--gru2", "3", "--head-hidden", "3", "--keep-all", "--quiet"]
+        assert cli.main(["train", *base, "--ckpt-dir", str(tmp_path / "k"), "--epochs", "2",
+                         "--lr", "0.001"]) == 0
+        capsys.readouterr()
+        (tmp_path / "lr.cfg").write_text("lr = 0.05\n")
+        # How lr is given to the resumed run, and the lr a note must name.
+        runs = {"unset": ([], None), "same": (["--lr", "0.001"], None),
+                "flag": (["--lr", "0.01"], "0.01"),
+                "config": (["--config", str(tmp_path / "lr.cfg")], "0.05")}
+        for name, (extra, configured) in runs.items():
+            code, _, err = run(capsys, "train", *base, "--ckpt-dir", str(tmp_path / name),
+                               "--epochs", "4", "--resume",
+                               str(tmp_path / "k" / "ckpt_epoch_2.bin"), *extra)
+            assert code == 0
+            if configured is None:
+                assert err == ""
+            else:
+                (note,) = err.splitlines()
+                assert "checkpoint's lr 0.001" in note and f"configured {configured}" in note
+        final = {(tmp_path / name / "ckpt_epoch_4.bin").read_bytes() for name in runs}
+        assert len(final) == 1
+
     def test_resume_with_reordered_vocab_fails(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert cli.main(["gen-synthetic", "--out", str(corpus), "--count", "30"]) == 0
@@ -259,8 +289,15 @@ class TestCheckpointMetadata:
         (lambda meta: with_second_token(meta, {}), "'vocabs.text' is not a list of distinct"),
         (lambda meta: with_second_token(meta, meta["vocabs"]["text"][0]),
          "'vocabs.text' is not a list of distinct"),
+        (lambda meta: {**meta, "best_val_error": 10 ** 400},
+         "'best_val_error' is too large for a float"),
+        (lambda meta: {**meta, "best_val_error": True}, "'best_val_error' has the wrong type"),
+        (lambda meta: {**meta, "epoch": True}, "'epoch' has the wrong type"),
+        (lambda meta: {**meta, "rmsprop": {**meta["rmsprop"], "rho": False}},
+         "'rmsprop.rho' has the wrong type"),
     ], ids=["no-epoch", "no-rmsprop-eps", "text-epoch", "list", "not-json", "huge-layout",
-            "zero-size", "vocab-entry-not-text", "vocab-duplicate"])
+            "zero-size", "vocab-entry-not-text", "vocab-duplicate", "huge-best-error",
+            "bool-best-error", "bool-epoch", "bool-rho"])
     def test_bad_metadata_is_named(self, mini_run, tmp_path, capsys, monkeypatch, command, edit,
                                    named):
         blob = (mini_run["ckpt"] / "ckpt_best.bin").read_bytes()
@@ -285,6 +322,79 @@ class TestCheckpointMetadata:
         assert named in err and str(bad) in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "k").exists()
+
+
+@pytest.fixture(scope="module")
+def parser_inputs(tmp_path_factory):
+    """A directory with a valid corpus (samples and vocab files) to put
+    fuzzed files next to."""
+    root = tmp_path_factory.mktemp("parsers")
+    assert cli.main(["gen-synthetic", "--out", str(root / "corpus"), "--count", "5"]) == 0
+    return root
+
+
+def fails_only_with(error, parse, argv, code):
+    """``parse()`` returns or raises ``error``; when it raises, ``cli.main``
+    on ``argv`` exits with ``code`` and one stderr line."""
+    try:
+        parse()
+    except error:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == code
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["tokens", "verbs", "states", "x"]), inner, max_size=4),
+    max_leaves=8)
+# Arbitrary bytes, arbitrary text, and lines of JSON with the dataset's keys.
+dataset_bytes = (st.binary(max_size=200) | st.text(max_size=60).map(str.encode)
+                 | st.lists(json_values.map(json.dumps), max_size=4).map(
+                     lambda lines: "\n".join(lines).encode()))
+config_lines = st.lists(st.tuples(st.sampled_from([*cli._CONFIG_TYPES, "x", "#", ""]),
+                                  st.sampled_from(["=", " = ", ""]), st.text(max_size=8)),
+                        max_size=4).map(lambda lines: "\n".join(map("".join, lines)).encode())
+
+
+class TestParsersFailOnlyWithTheirOwnError:
+    """Any file content makes each text parser return or raise its own
+    error, which ``cli.main`` turns into exit 3 (data) or 2 (config) with
+    one stderr line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=dataset_bytes)
+    @example(blob=b"[" * 100000)    # nested deeper than the JSON decoder recurses
+    def test_ingest_jsonl(self, parser_inputs, blob):
+        corpus, data = parser_inputs / "corpus", parser_inputs / "data.jsonl"
+        data.write_bytes(blob)
+        vocabs = cli._load_vocab_dir(corpus)
+        fails_only_with(DataError, lambda: ingest_jsonl(data, *vocabs),
+                        ["train", "--data", str(data), "--vocab-dir", str(corpus),
+                         "--ckpt-dir", str(parser_inputs / "k")], cli.EXIT_DATA)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.binary(max_size=100) | st.text(max_size=40).map(str.encode))
+    def test_load_vocab(self, parser_inputs, blob):
+        corpus, vocab_dir = parser_inputs / "corpus", parser_inputs / "vocab"
+        vocab_dir.mkdir(exist_ok=True)
+        for name in ("verb.vocab", "state.vocab"):
+            (vocab_dir / name).write_bytes((corpus / name).read_bytes())
+        (vocab_dir / "text.vocab").write_bytes(blob)
+        fails_only_with(DataError, lambda: load_vocab(vocab_dir / "text.vocab", with_pad=True),
+                        ["train", "--data", str(corpus / "samples.jsonl"), "--vocab-dir",
+                         str(vocab_dir), "--ckpt-dir", str(parser_inputs / "k")], cli.EXIT_DATA)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.binary(max_size=100) | config_lines)
+    def test_parse_config_file(self, parser_inputs, blob):
+        config = parser_inputs / "run.cfg"
+        config.write_bytes(blob)
+        fails_only_with(cli.ConfigError, lambda: cli.parse_config_file(config),
+                        ["train", "--data", "d", "--vocab-dir", "v", "--ckpt-dir", "c",
+                         "--config", str(config)], cli.EXIT_USAGE)
 
 
 class TestPredict:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -327,6 +329,54 @@ class TestBackward:
         for name in grads[0]:
             assert np.array_equal(grads[0][name], grads[1][name]), name
 
+    def test_backward_leaves_the_trace_as_it_was_and_repeats_exactly(self):
+        params = init_params(TOY, seed=7)
+        batch = make_batch(TOY, [5, 2, 4, 5, 1], seed=4)
+        verb, state, trace = forward(params, batch)
+        arrays = [trace.token_matrix, trace.order, trace.tokens, trace.h_final,
+                  *trace.verb_head, *trace.state_head,
+                  *(a for layer in (trace.gru1, trace.gru2) for a in vars(layer).values())]
+        before = [a.tobytes() for a in arrays]
+        blocks = list(trace.blocks)
+        runs = []
+        for fill in (0.0, np.nan):
+            grads = params.like(np.full_like(params.data, fill))
+            backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                     tangent_loss_grad(batch.state_labels, state), out=grads)
+            runs.append(grads.data.tobytes())
+        assert runs[0] == runs[1]
+        assert [a.tobytes() for a in arrays] == before and trace.blocks == blocks
+
+    def test_input_gradient_sums_each_tokens_deltas(self, monkeypatch):
+        # Token 1 repeats within a row and across rows; tokens 0, 5, 6 and 7
+        # never appear, nor does the pad token 8.
+        sizes = ModelSizes(input_dim=9, verb_dim=2, state_dim=2,
+                           gru1_hidden=3, gru2_hidden=2, head_hidden=4)
+        params = init_params(sizes, seed=8)
+        batch = pad_batch([Sample(tokens, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+                           for tokens in ([1, 2, 1, 3], [4, 1], [2, 1, 4])], pad_index=8)
+        deltas = []
+        layer_backward = network._layer_backward
+
+        def keep_deltas(*args, **kwargs):
+            deltas.append(layer_backward(*args, **kwargs))
+            return deltas[-1]
+
+        monkeypatch.setattr(network, "_layer_backward", keep_deltas)
+        verb, state, trace = forward(params, batch)
+        grads = params.like(np.full_like(params.data, np.nan))
+        backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                 tangent_loss_grad(batch.state_labels, state), out=grads)
+        d1 = deltas[1]    # layer 2 is swept first
+        for token in range(sizes.input_dim):
+            column = grads.gru1.W[:, token]
+            if token in (0, 5, 6, 7, 8):
+                assert np.all(column == 0.0), token
+            else:
+                np.testing.assert_allclose(column, d1[trace.tokens == token].sum(axis=0),
+                                           rtol=1e-12, atol=1e-15 * np.abs(d1).max())
+        assert (trace.tokens == 1).sum() == 4
+
     def test_trace_batch_mismatch_rejected(self):
         params = init_params(TOY, seed=0)
         batch_a = make_batch(TOY, [3, 4], seed=1)
@@ -614,6 +664,22 @@ def small_checkpoint(tmp_path_factory):
     save_checkpoint(Checkpoint(params=params, epoch=2, best_val_error=0.5, seeds={"init": 5},
                                rmsprop=rmsprop, vocabs=vocabs), root / "m.bin")
     return (root / "m.bin").read_bytes(), root / "variant.bin"
+
+
+@pytest.mark.parametrize("key", ["best_val_error", "rmsprop.lr", "rmsprop.rho", "rmsprop.eps"])
+def test_metadata_number_too_large_for_a_float_is_named(small_checkpoint, key):
+    blob, path = small_checkpoint
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    meta = json.loads(blob[12:12 + meta_len])
+    parent, _, name = key.rpartition(".")
+    (meta[parent] if parent else meta)[name] = 10 ** 400
+    meta_bytes = json.dumps(meta).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                     + blob[12 + meta_len:])
+    for optimizer in (True, False):
+        with pytest.raises(CheckpointError, match=f"'{key}' is too large for a float") as err:
+            load_checkpoint(path, optimizer=optimizer)
+        assert str(path) in str(err.value)
 
 
 @settings(max_examples=300, deadline=None)
