@@ -30,7 +30,7 @@ from .corpus import (DataError, Sample, SyntheticConfig, generate_synthetic_corp
                      write_jsonl)
 from .evaluation import TOLERANCE_MODES, binarize, evaluate
 from .network import CheckpointError, ModelSizes, check_fingerprint, load_checkpoint
-from .training import TrainConfig, gradient_check, resume, train, vocabs_from_meta
+from .training import TrainConfig, check_config, gradient_check, resume, train, vocabs_from_meta
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -67,6 +67,8 @@ def _sizes(text: str) -> tuple[int, ...]:
 # checkpoint_dir, each also the dest of a `train` flag.
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)
                  if f.name != "checkpoint_dir"}
+# The `train` flags that are not their key with "-" for "_".
+_FLAGS = {"gru1_hidden": "--gru1", "gru2_hidden": "--gru2"}
 
 
 def parse_config_file(path) -> dict:
@@ -123,18 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--ckpt-dir", required=True, help="checkpoint/log output directory")
     tr.add_argument("--config", help="key=value config file")
     tr.add_argument("--resume", help="checkpoint to continue from")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--validate-every", type=int)
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--batch-size", type=int)
-    tr.add_argument("--gru1", type=int, dest="gru1_hidden")
-    tr.add_argument("--gru2", type=int, dest="gru2_hidden")
-    tr.add_argument("--head-hidden", type=int)
-    tr.add_argument("--split-seed", type=int)
-    tr.add_argument("--init-seed", type=int)
-    tr.add_argument("--shuffle-seed", type=int)
-    tr.add_argument("--val-fraction", type=float, dest="val_fraction")
-    tr.add_argument("--keep-all", action="store_true", default=None)
+    for key, kind in _CONFIG_TYPES.items():
+        flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        if kind is bool:
+            tr.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            tr.add_argument(flag, dest=key, type=kind)
     tr.add_argument("--quiet", action="store_true")
 
     ev = sub.add_parser("eval", help="report per-head one-missing accuracy")
@@ -187,6 +183,10 @@ def cmd_train(args) -> int:
         if value is not None:
             overrides[key] = value
     config = TrainConfig(checkpoint_dir=args.ckpt_dir, **overrides)
+    try:
+        check_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     vocabs = _load_vocab_dir(args.vocab_dir)
     samples = ingest_jsonl(args.data, *vocabs)

@@ -192,12 +192,11 @@ def split_dataset(samples: list[Sample], validation_fraction: float, seed: int) 
     return DatasetSplit(train=train, validation=validation, split_seed=seed)
 
 
-def pad_batch(chunk: list[Sample], pad_index: int, pad_to: int | None = None) -> Batch:
+def pad_batch(chunk: list[Sample], pad_index: int) -> Batch:
     """Assemble one Batch, padding rows with ``pad_index`` to the chunk
-    maximum length (or ``pad_to`` when given)."""
+    maximum length."""
     lengths = np.array([len(s.tokens) for s in chunk], dtype=np.int64)
-    width = int(lengths.max()) if pad_to is None else pad_to
-    matrix = np.full((len(chunk), width), pad_index, dtype=np.int64)
+    matrix = np.full((len(chunk), int(lengths.max())), pad_index, dtype=np.int64)
     for r, sample in enumerate(chunk):
         matrix[r, : len(sample.tokens)] = sample.tokens
     return Batch(
@@ -208,16 +207,14 @@ def pad_batch(chunk: list[Sample], pad_index: int, pad_to: int | None = None) ->
     )
 
 
-def make_batches(samples: list[Sample], batch_size: int, seed: int,
-                 pad_index: int, shuffle: bool = True) -> list[Batch]:
-    """Deterministic epoch shuffle by seed, then per-batch padding to the
-    batch maximum length."""
+def make_batches(samples: list[Sample], batch_size: int, pad_index: int,
+                 seed: int | None = None) -> list[Batch]:
+    """Batches of ``batch_size`` samples, each padded to its maximum length:
+    in input order, or in the order of a deterministic shuffle by ``seed``."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(len(samples))
-    else:
-        order = np.arange(len(samples))
+    order = (np.arange(len(samples)) if seed is None
+             else np.random.default_rng(seed).permutation(len(samples)))
     batches = []
     for start in range(0, len(samples), batch_size):
         chunk = [samples[i] for i in order[start : start + batch_size]]

@@ -5,8 +5,9 @@ absent from the predicted set.  Under the default "subset" tolerance extra
 predicted items disqualify the match; the "symmetric" tolerance instead
 allows any single-item symmetric difference.  Empty label sets count as
 correct only when the prediction is empty too.  Predicted and label sets are
-boolean arrays over the last axis, so ``evaluate`` matches a whole batch of
-rows at once.
+boolean arrays over the last axis, so ``evaluate`` matches every row at
+once.  ``predictions`` runs a sample set through the model in input order;
+validation and ``evaluate`` both read it.
 """
 
 from dataclasses import dataclass
@@ -60,6 +61,17 @@ class EvalReport:
         }
 
 
+def predictions(params: ModelParams, samples: list[Sample], pad_index: int,
+                batch_size: int = 64):
+    """``((verb_labels, state_labels), (verb_outputs, state_outputs))`` for
+    ``samples``: four matrices with one row per sample, in input order."""
+    # [:2] drops each batch's trace before the next batch's forward runs.
+    rows = [(batch.verb_labels, batch.state_labels, *forward(params, batch)[:2])
+            for batch in make_batches(samples, batch_size, pad_index=pad_index)]
+    verb_labels, state_labels, verb_outputs, state_outputs = map(np.concatenate, zip(*rows))
+    return (verb_labels, state_labels), (verb_outputs, state_outputs)
+
+
 def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
              threshold: float = 0.5, mode: str = "subset",
              batch_size: int = 64) -> EvalReport:
@@ -67,13 +79,10 @@ def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
     if not test_set:
         raise ValueError("cannot evaluate an empty test set")
     _check_threshold(threshold)
-    verb_ok, state_ok = [], []
-    for batch in make_batches(test_set, batch_size, seed=0, pad_index=pad_index, shuffle=False):
-        # [:2] drops the trace now, not when the next batch's forward returns.
-        verb_pred, state_pred = forward(params, batch)[:2]
-        verb_ok.append(one_missing_match(verb_pred >= threshold, batch.verb_labels != 0, mode))
-        state_ok.append(one_missing_match(state_pred >= threshold, batch.state_labels != 0, mode))
-    verb_ok, state_ok = np.concatenate(verb_ok), np.concatenate(state_ok)
+    (verb_labels, state_labels), (verb_outputs, state_outputs) = predictions(
+        params, test_set, pad_index, batch_size)
+    verb_ok = one_missing_match(verb_outputs >= threshold, verb_labels != 0, mode)
+    state_ok = one_missing_match(state_outputs >= threshold, state_labels != 0, mode)
     n = len(verb_ok)
     return EvalReport(
         action_accuracy=100.0 * int(np.count_nonzero(verb_ok)) / n,

@@ -59,6 +59,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .optim import RmsPropState
+
 CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
 # The RMSProp settings a checkpoint stores next to the cache.
@@ -476,7 +478,7 @@ class Checkpoint:
     epoch: int
     best_val_error: float
     seeds: dict
-    rmsprop: dict | None = None     # {"lr", "rho", "eps", "cache": ModelParams}
+    rmsprop: RmsPropState | None = None
     vocabs: dict | None = None      # {"text": [...], "verb": [...], "state": [...]}
 
 
@@ -501,14 +503,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     from its arrays.  The file is written under a temporary name in the same
     directory and renamed over ``path`` only when complete, so an error or a
     crash mid-write leaves any earlier file at ``path`` as it was."""
-    rmsprop = ckpt.rmsprop
-    arrays = _table(ckpt.params, None if rmsprop is None else rmsprop["cache"])
+    opt = ckpt.rmsprop
+    arrays = _table(ckpt.params, None if opt is None else opt.cache)
     meta = {
         "fingerprint": ckpt.params.sizes.fingerprint(),
         "epoch": ckpt.epoch,
         "best_val_error": None if np.isinf(ckpt.best_val_error) else ckpt.best_val_error,
         "seeds": ckpt.seeds,
-        "rmsprop": None if rmsprop is None else {k: rmsprop[k] for k in RMSPROP_SETTINGS},
+        "rmsprop": None if opt is None else {k: getattr(opt, k) for k in RMSPROP_SETTINGS},
         "vocabs": ckpt.vocabs,
     }
     meta_bytes = json.dumps(meta).encode("utf-8")
@@ -632,8 +634,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
         epoch=meta["epoch"],
         best_val_error=np.inf if best is None else best,
         seeds=meta["seeds"],
-        rmsprop=None if cache is None else dict(
-            cache=cache, **{k: meta["rmsprop"][k] for k in RMSPROP_SETTINGS}),
+        rmsprop=None if cache is None else RmsPropState(
+            cache, **{k: meta["rmsprop"][k] for k in RMSPROP_SETTINGS}),
         vocabs=meta["vocabs"],
     )
 

@@ -6,14 +6,14 @@ theta <- theta - lr * g / (sqrt(cache) + eps).
 Parameters and cache are ``ModelParams``, the same layout over one flat
 buffer each, and the gradient is a third flat buffer with that layout, so a
 step is one finite check and one pass over the three buffers, whatever the
-number of named arrays.
+number of named arrays.  ``ModelParams`` (from ``network``) is named in
+annotations only, so that ``network`` can import ``RmsPropState`` for its
+checkpoints.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import ModelParams
 
 # Elements per block of the in-place update.
 BLOCK = 1 << 15
@@ -24,17 +24,17 @@ class RmsPropState:
     """``cache`` holds each parameter's running average of squared
     gradients: the parameters' layout over a buffer of its own."""
 
-    cache: ModelParams
+    cache: "ModelParams"
     lr: float = 1e-4
     rho: float = 0.9
     eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, params: ModelParams, lr: float = 1e-4) -> "RmsPropState":
+    def fresh(cls, params: "ModelParams", lr: float = 1e-4) -> "RmsPropState":
         return cls(cache=params.like(np.zeros_like(params.data)), lr=lr)
 
 
-def _coordinate(params: ModelParams, i: int) -> str:
+def _coordinate(params: "ModelParams", i: int) -> str:
     """The name and coordinate of element ``i`` of the flat buffer."""
     for name, theta in params.flat().items():
         if i < theta.size:
@@ -43,7 +43,7 @@ def _coordinate(params: ModelParams, i: int) -> str:
     raise IndexError(i)
 
 
-def rmsprop_step(params: ModelParams, grads: np.ndarray, state: RmsPropState):
+def rmsprop_step(params: "ModelParams", grads: np.ndarray, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
     ``grads`` is a flat gradient buffer laid out like ``params.data``, such

@@ -14,18 +14,19 @@ shares them until the next update; only then is the state copied, with
 and refilled after that.  So a run whose only improving validation is its
 last never copies, and no run holds more than one best copy.  Each epoch's
 log record is appended to ``train_log.jsonl`` and flushed when the epoch
-ends.
+ends; ``train`` starts that log anew, ``resume`` appends to it.
 """
 
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import DataError, DatasetSplit, Sample, Vocabulary, make_batches, pad_batch
+from .evaluation import predictions
 from .losses import batch_error, tangent_loss, tangent_loss_grad
 from .network import (Checkpoint, CheckpointError, ModelParams, ModelSizes, backward,
                       check_fingerprint, forward, init_params, load_checkpoint,
@@ -90,18 +91,20 @@ def total_loss(verb_pred, verb_label, state_pred, state_label) -> float:
 def validation_error(params: ModelParams, samples, pad_index: int,
                      batch_size: int = 64) -> float:
     """Mean over samples of the two heads' cross-entropy-gap errors."""
-    rows = [(batch.verb_labels, batch.state_labels, *forward(params, batch)[:2])
-            for batch in make_batches(samples, batch_size, seed=0, pad_index=pad_index,
-                                      shuffle=False)]
-    verb_labels, state_labels, verb_preds, state_preds = map(np.concatenate, zip(*rows))
-    return batch_error((verb_labels, state_labels), (verb_preds, state_preds))
+    return batch_error(*predictions(params, samples, pad_index, batch_size))
 
 
-def _check_config(config: TrainConfig) -> None:
-    if config.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {config.epochs}")
-    if config.validate_every < 1:
-        raise ValueError(f"validate_every must be >= 1, got {config.validate_every}")
+def check_config(config: TrainConfig) -> None:
+    """Raise ValueError unless every count and size is >= 1, lr is finite and
+    positive, and val_fraction is in (0, 1)."""
+    for key in ("epochs", "validate_every", "batch_size", "gru1_hidden", "gru2_hidden",
+                "head_hidden"):
+        if getattr(config, key) < 1:
+            raise ValueError(f"{key} must be >= 1, got {getattr(config, key)}")
+    if not 0.0 < config.lr < np.inf:
+        raise ValueError(f"lr must be finite and > 0, got {config.lr}")
+    if not 0.0 < config.val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {config.val_fraction}")
 
 
 def _check_split(split: DatasetSplit) -> None:
@@ -133,8 +136,7 @@ def vocabs_from_meta(meta: dict) -> tuple[Vocabulary, Vocabulary, Vocabulary]:
 
 def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelParams,
                 opt: RmsPropState, start_epoch: int, best_err: float) -> TrainResult:
-    text_vocab, verb_vocab, state_vocab = vocabs
-    pad_index = text_vocab.pad_index
+    pad_index = vocabs[0].pad_index
     seeds = {"split": config.split_seed, "init": config.init_seed,
              "shuffle": config.shuffle_seed}
     ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
@@ -142,18 +144,15 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     def checkpoint(epoch: int, err: float) -> Checkpoint:
-        """The live state, not a copy of it."""
-        return Checkpoint(
-            params=params, epoch=epoch, best_val_error=err, seeds=seeds,
-            rmsprop={"lr": opt.lr, "rho": opt.rho, "eps": opt.eps, "cache": opt.cache},
-            vocabs=_vocab_meta(text_vocab, verb_vocab, state_vocab),
-        )
+        """The live buffers, not copies of them, under a state of its own,
+        so that the best checkpoint's cache can be swapped for its copy."""
+        return Checkpoint(params=params, epoch=epoch, best_val_error=err, seeds=seeds,
+                          rmsprop=replace(opt), vocabs=_vocab_meta(*vocabs))
 
     grads = params.like(np.empty_like(params.data))
     best_ckpt: Checkpoint | None = None
     # The best checkpoint shares the live buffers until the next update;
     # only then is it copied, into buffers allocated once and refilled.
-    best_is_live = False
     best_copy: tuple[ModelParams, ModelParams] | None = None
     records: list[TrainLogRecord] = []
     n_train = len(split.train)
@@ -172,14 +171,13 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             backward(params, batch, trace, verb_grad, state_grad, out=grads)
             # Free it before the next batch, or the best copy, allocates.
             del trace
-            if best_is_live:
+            if best_ckpt is not None and best_ckpt.params is params:
                 if best_copy is None:
                     best_copy = params.copy(), opt.cache.copy()
                 else:
                     np.copyto(best_copy[0].data, params.data)
                     np.copyto(best_copy[1].data, opt.cache.data)
-                best_ckpt.params, best_ckpt.rmsprop["cache"] = best_copy
-                best_is_live = False
+                best_ckpt.params, best_ckpt.rmsprop.cache = best_copy
             rmsprop_step(params, grads.data, opt)
 
         val_err = None
@@ -190,7 +188,7 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             if val_err < best_err:
                 best_err = val_err
                 best_ckpt = checkpoint(epoch, val_err)
-                best_is_live = saved = True
+                saved = True
                 if ckpt_dir is not None:
                     _write_with_context(best_ckpt, ckpt_dir / "ckpt_best.bin")
         if config.keep_all and ckpt_dir is not None:
@@ -217,11 +215,12 @@ def train(config: TrainConfig, split: DatasetSplit, vocabs) -> TrainResult:
     checkpoint is saved only when the validation error is strictly lower
     than the best seen so far.
     """
-    _check_config(config)
+    check_config(config)
     _check_split(split)
-    text_vocab, verb_vocab, state_vocab = vocabs
-    sizes = config.sizes_for(text_vocab, verb_vocab, state_vocab)
-    params = init_params(sizes, config.init_seed)
+    if config.checkpoint_dir:
+        # A fresh run starts its own log; a resumed one appends to it.
+        (Path(config.checkpoint_dir) / "train_log.jsonl").unlink(missing_ok=True)
+    params = init_params(config.sizes_for(*vocabs), config.init_seed)
     opt = RmsPropState.fresh(params, lr=config.lr)
     return _run_epochs(config, split, vocabs, params, opt, start_epoch=0, best_err=np.inf)
 
@@ -238,7 +237,7 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs,
     in one line on stderr.  Resuming with config.epochs equal to the stored
     epoch runs nothing and leaves parameters untouched.
     """
-    _check_config(config)
+    check_config(config)
     _check_split(split)
     ckpt = load_checkpoint(checkpoint_path)
     sizes = config.sizes_for(*vocabs)
@@ -251,10 +250,10 @@ def resume(checkpoint_path, config: TrainConfig, split: DatasetSplit, vocabs,
                                       f"from the one given")
     if ckpt.rmsprop is None:
         raise CheckpointError(f"{checkpoint_path} carries no optimizer state; cannot resume")
-    if lr_configured and config.lr != ckpt.rmsprop["lr"]:
-        print(f"note: resuming with the checkpoint's lr {ckpt.rmsprop['lr']!r}, not the "
+    if lr_configured and config.lr != ckpt.rmsprop.lr:
+        print(f"note: resuming with the checkpoint's lr {ckpt.rmsprop.lr!r}, not the "
               f"configured {config.lr!r}", file=sys.stderr)
-    return _run_epochs(config, split, vocabs, ckpt.params, RmsPropState(**ckpt.rmsprop),
+    return _run_epochs(config, split, vocabs, ckpt.params, ckpt.rmsprop,
                        start_epoch=ckpt.epoch, best_err=ckpt.best_val_error)
 
 

@@ -161,8 +161,10 @@ def test_c06_padding_invariance():
     sample = Sample(tokens=rng.integers(0, 11, size=5).tolist(),
                     verb_label=np.array([1.0, 0.0, 0.0]),
                     state_label=np.array([0.0, 1.0, 0.0]))
-    short = pad_batch([sample], pad_index=11, pad_to=5)
-    long = pad_batch([sample], pad_index=11, pad_to=13)
+    short = pad_batch([sample], pad_index=11)
+    long = pad_batch([sample], pad_index=11)
+    long.token_matrix = np.pad(long.token_matrix, ((0, 0), (0, 8)), constant_values=11)
+    assert short.token_matrix.shape == (1, 5) and long.token_matrix.shape == (1, 13)
     v1, s1, _ = forward(params, short)
     v2, s2, _ = forward(params, long)
     assert np.array_equal(v1, v2)

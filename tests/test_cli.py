@@ -107,6 +107,27 @@ class TestTrain:
                                    "resume", "quiet"}
         assert set(cli._CONFIG_TYPES) == flags
 
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--epochs", "epochs", "0"), ("--batch-size", "batch_size", "0"),
+        ("--validate-every", "validate_every", "0"), ("--gru1", "gru1_hidden", "0"),
+        ("--gru2", "gru2_hidden", "-1"), ("--head-hidden", "head_hidden", "0"),
+        ("--val-fraction", "val_fraction", "1.5"), ("--val-fraction", "val_fraction", "0"),
+        ("--lr", "lr", "-1"), ("--lr", "lr", "0"), ("--lr", "lr", "nan"), ("--lr", "lr", "inf"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, flag, key, value):
+        # The data and vocabulary paths do not exist: the settings are
+        # checked before anything is read.
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        common = ["train", "--data", str(tmp_path / "d"), "--vocab-dir", str(tmp_path / "v"),
+                  "--ckpt-dir", str(tmp_path / "k")]
+        for argv in ([*common, f"{flag}={value}"], [*common, "--config", str(config)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("config error:") and key in err
+            assert len(err.splitlines()) == 1, err
+        assert not (tmp_path / "k").exists()
+
     def test_config_file_values_with_flag_overrides(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert cli.main(["gen-synthetic", "--out", str(corpus), "--count", "40",
@@ -563,6 +584,35 @@ class TestParser:
 
     def test_help_exits_cleanly(self):
         assert cli.main(["--help"]) == 0
+
+    def test_train_flags_keep_their_names_dests_and_types(self):
+        parser = cli._build_parser()
+        (subcommands,) = [a for a in parser._actions if a.dest == "command"]
+        flags = {action.option_strings[-1]: (action.dest, action.type, action.default,
+                                             type(action).__name__)
+                 for action in subcommands.choices["train"]._actions
+                 if action.dest != "help"}
+        given, switch = "_StoreAction", "_StoreTrueAction"
+        assert flags == {
+            "--data": ("data", None, None, given),
+            "--vocab-dir": ("vocab_dir", None, None, given),
+            "--ckpt-dir": ("ckpt_dir", None, None, given),
+            "--config": ("config", None, None, given),
+            "--resume": ("resume", None, None, given),
+            "--epochs": ("epochs", int, None, given),
+            "--validate-every": ("validate_every", int, None, given),
+            "--lr": ("lr", float, None, given),
+            "--batch-size": ("batch_size", int, None, given),
+            "--gru1": ("gru1_hidden", int, None, given),
+            "--gru2": ("gru2_hidden", int, None, given),
+            "--head-hidden": ("head_hidden", int, None, given),
+            "--split-seed": ("split_seed", int, None, given),
+            "--init-seed": ("init_seed", int, None, given),
+            "--shuffle-seed": ("shuffle_seed", int, None, given),
+            "--val-fraction": ("val_fraction", float, None, given),
+            "--keep-all": ("keep_all", None, None, switch),
+            "--quiet": ("quiet", None, False, switch),
+        }
 
 
 def test_thread_cap_env_var():

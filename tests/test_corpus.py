@@ -201,10 +201,17 @@ class TestBatches:
             Sample(tokens=[1, 2, 3], verb_label=np.array([1.0]), state_label=np.array([1.0])),
             Sample(tokens=[4, 5, 6, 7, 8], verb_label=np.array([1.0]), state_label=np.array([1.0])),
         ]
-        (batch,) = make_batches(samples, 2, seed=0, pad_index=9, shuffle=False)
+        (batch,) = make_batches(samples, 2, pad_index=9)
         assert batch.token_matrix.shape == (2, 5)
         assert batch.token_matrix[0].tolist() == [1, 2, 3, 9, 9]
         assert batch.lengths.tolist() == [3, 5]
+
+    def test_no_seed_keeps_input_order(self):
+        samples = [Sample(tokens=[i] * (1 + i % 3), verb_label=np.array([1.0]),
+                          state_label=np.array([1.0])) for i in range(7)]
+        batches = make_batches(samples, 3, pad_index=9)
+        assert [len(b) for b in batches] == [3, 3, 1]
+        assert [int(row[0]) for b in batches for row in b.token_matrix] == list(range(7))
 
     def test_same_seed_same_batches(self):
         samples = toy_samples(11)

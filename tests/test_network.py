@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import struct
+import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tanloss.network as network
+from tanloss import cli
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
 from tanloss.network import (Checkpoint, CheckpointError, ModelParams, ModelSizes, backward,
@@ -19,7 +25,9 @@ from tanloss.training import gradient_check
 TOY = ModelSizes(input_dim=6, verb_dim=2, state_dim=2, gru1_hidden=3, gru2_hidden=2, head_hidden=4)
 
 
-def make_batch(sizes, lengths, seed=0, pad_to=None):
+def make_batch(sizes, lengths, seed=0, width=None):
+    """A batch of random samples of the given lengths, padded to ``width``
+    steps when given, else to the longest."""
     rng = np.random.default_rng(seed)
     samples = []
     for length in lengths:
@@ -30,7 +38,12 @@ def make_batch(sizes, lengths, seed=0, pad_to=None):
         samples.append(Sample(
             tokens=rng.integers(0, sizes.input_dim - 1, size=length).tolist(),
             verb_label=verb, state_label=state))
-    return pad_batch(samples, pad_index=sizes.input_dim - 1, pad_to=pad_to)
+    batch = pad_batch(samples, pad_index=sizes.input_dim - 1)
+    if width is not None:
+        batch.token_matrix = np.pad(batch.token_matrix,
+                                    ((0, 0), (0, width - batch.token_matrix.shape[1])),
+                                    constant_values=sizes.input_dim - 1)
+    return batch
 
 
 class TestInit:
@@ -120,13 +133,12 @@ class TestFlatBuffer:
         params = init_params(TOY, seed=3)
         cache = params.like(np.abs(params.data) + 0.5)
         save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5, seeds={},
-                                   rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
-                                            "cache": cache}),
+                                   rmsprop=RmsPropState(cache)),
                         tmp_path / "m.bin")
         loaded = load_checkpoint(tmp_path / "m.bin")
         assert loaded.params.data.tobytes() == params.data.tobytes()
         assert all(v.base is loaded.params.data for v in loaded.params.flat().values())
-        views = list(loaded.rmsprop["cache"].flat().values())
+        views = list(loaded.rmsprop.cache.flat().values())
         assert views[0].base.size == params.data.size
         assert all(v.base is views[0].base for v in views)
 
@@ -144,7 +156,7 @@ class TestFlatBuffer:
 
     def test_one_step_batch_has_zero_recurrent_gradients(self):
         params = init_params(TOY, seed=2)
-        batch = make_batch(TOY, [1, 1], pad_to=4)
+        batch = make_batch(TOY, [1, 1], width=4)
         verb, state, trace = forward(params, batch)
         out = params.like(np.full_like(params.data, np.nan))
         backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
@@ -218,7 +230,7 @@ class TestForward:
     def test_padding_invariance_same_batch(self):
         params = init_params(TOY, seed=4)
         batch = make_batch(TOY, [3, 5], seed=1)
-        overpadded = make_batch(TOY, [3, 5], seed=1, pad_to=11)
+        overpadded = make_batch(TOY, [3, 5], seed=1, width=11)
         v1, s1, _ = forward(params, batch)
         v2, s2, _ = forward(params, overpadded)
         assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
@@ -319,8 +331,8 @@ class TestBackward:
     def test_padding_invariance_bit_exact(self):
         params = init_params(TOY, seed=4)
         grads = []
-        for pad_to in (None, 11):
-            batch = make_batch(TOY, [3, 5, 2], seed=1, pad_to=pad_to)
+        for width in (None, 11):
+            batch = make_batch(TOY, [3, 5, 2], seed=1, width=width)
             verb, state, trace = forward(params, batch)
             grads.append(backward(params, batch, trace,
                                   tangent_loss_grad(batch.verb_labels, verb),
@@ -407,12 +419,12 @@ class TestCheckpoint:
     def test_rmsprop_state_round_trips(self, tmp_path):
         params = init_params(TOY, seed=1)
         cache = params.like(np.abs(params.data))
-        ckpt = self.snapshot(params, rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8, "cache": cache})
+        ckpt = self.snapshot(params, rmsprop=RmsPropState(cache, lr=2e-4, rho=0.8, eps=1e-7))
         save_checkpoint(ckpt, tmp_path / "m.bin")
         loaded = load_checkpoint(tmp_path / "m.bin")
-        assert loaded.rmsprop["lr"] == 1e-4
+        assert (loaded.rmsprop.lr, loaded.rmsprop.rho, loaded.rmsprop.eps) == (2e-4, 0.8, 1e-7)
         for name, arr in cache.flat().items():
-            assert np.array_equal(loaded.rmsprop["cache"].flat()[name], arr)
+            assert np.array_equal(loaded.rmsprop.cache.flat()[name], arr)
 
     def test_infinite_best_error_round_trips(self, tmp_path):
         ckpt = self.snapshot(init_params(TOY, seed=1), best_val_error=np.inf)
@@ -536,8 +548,7 @@ class TestCheckpoint:
     def with_optimizer(self, seed=1):
         params = init_params(TOY, seed=seed)
         cache = params.like(np.abs(params.data) + 0.5)
-        return self.snapshot(params, rmsprop={"lr": 1e-4, "rho": 0.9, "eps": 1e-8,
-                                              "cache": cache})
+        return self.snapshot(params, rmsprop=RmsPropState(cache))
 
     def test_other_optimizer_metadata_is_ignored(self, tmp_path):
         import json
@@ -553,7 +564,7 @@ class TestCheckpoint:
         extra = json.dumps(meta).encode()
         (tmp_path / "extra.bin").write_bytes(
             blob[:8] + struct.pack("<I", len(extra)) + extra + blob[12 + meta_len:])
-        state = RmsPropState(**load_checkpoint(tmp_path / "extra.bin").rmsprop)
+        state = load_checkpoint(tmp_path / "extra.bin").rmsprop
         assert (state.lr, state.rho, state.eps) == (1e-4, 0.9, 1e-8)
 
     def test_parameters_only_load_matches_full_load(self, tmp_path):
@@ -622,7 +633,7 @@ class TestCheckpoint:
             assert loaded.epoch == 4 and loaded.best_val_error == 0.5
         assert loaded.rmsprop is None
         full = load_checkpoint(tmp_path / "v1.bin")
-        for name, arr in full.rmsprop["cache"].flat().items():
+        for name, arr in full.rmsprop.cache.flat().items():
             assert np.array_equal(arr, arrays[f"rmsprop.{name}"])
 
         # Saving the same checkpoint writes exactly these bytes.
@@ -630,7 +641,7 @@ class TestCheckpoint:
         for name, arr in cache.flat().items():
             arr[...] = arrays[f"rmsprop.{name}"]
         save_checkpoint(Checkpoint(params=params, epoch=4, best_val_error=0.5, seeds=seeds,
-                                   rmsprop={**rmsprop, "cache": cache}), tmp_path / "saved.bin")
+                                   rmsprop=RmsPropState(cache, **rmsprop)), tmp_path / "saved.bin")
         assert (tmp_path / "saved.bin").read_bytes() == (tmp_path / "v1.bin").read_bytes()
 
         # The same arrays in another order, or with one more, do not load.
@@ -655,14 +666,17 @@ class TestCheckpoint:
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     """The bytes of a small valid checkpoint with optimizer state and
-    vocabularies, and a path to write variants of it to."""
+    vocabularies, and a path to write variants of it to, next to a
+    ``data.jsonl`` in those vocabularies."""
     root = tmp_path_factory.mktemp("fuzz")
+    (root / "data.jsonl").write_text('{"tokens": ["a", "b"], "verbs": ["v"], "states": ["s"]}\n'
+                                     '{"tokens": ["c"], "verbs": [], "states": ["s"]}\n')
     params = init_params(TOY, seed=5)
     vocabs = {"text": ["a", "b", "c", "d", "UNK", "PAD"], "verb": ["v", "UNK"],
               "state": ["s", "UNK"]}
-    rmsprop = {"lr": 1e-4, "rho": 0.9, "eps": 1e-8, "cache": params.like(params.data ** 2)}
     save_checkpoint(Checkpoint(params=params, epoch=2, best_val_error=0.5, seeds={"init": 5},
-                               rmsprop=rmsprop, vocabs=vocabs), root / "m.bin")
+                               rmsprop=RmsPropState(params.like(params.data ** 2)),
+                               vocabs=vocabs), root / "m.bin")
     return (root / "m.bin").read_bytes(), root / "variant.bin"
 
 
@@ -693,6 +707,18 @@ def test_damaged_checkpoint_loads_or_fails_with_checkpoint_error(small_checkpoin
     path.write_bytes(bytes(damaged[:cut]))
     try:
         loaded = load_checkpoint(path, optimizer=data.draw(st.booleans(), label="optimizer"))
+        assert isinstance(loaded, Checkpoint)
     except CheckpointError:
-        return
-    assert isinstance(loaded, Checkpoint)
+        pass
+    # eval and predict exit 0 or 1 without a warning, and write one stderr
+    # line when they fail and none when they do not.
+    for argv in (["eval", "--ckpt", str(path), "--data", str(path.parent / "data.jsonl")],
+                 ["predict", "--ckpt", str(path)]):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(sys, "stdin", io.StringIO("a b\nc d e\n")), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert code in (0, 1) and not caught, (argv[0], code, [str(w.message) for w in caught])
+        assert len(err.getvalue().splitlines()) == code, (argv[0], err.getvalue())

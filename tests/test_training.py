@@ -188,14 +188,14 @@ class TestResume:
         split, vocabs = tiny_task
         train(tiny_config(epochs=2, checkpoint_dir=str(tmp_path), keep_all=True), split, vocabs)
         ckpt = load_checkpoint(tmp_path / "ckpt_epoch_2.bin")
-        ckpt.rmsprop.update(rho=0.5, eps=1e-6)
+        ckpt.rmsprop.rho, ckpt.rmsprop.eps = 0.5, 1e-6
         save_checkpoint(ckpt, tmp_path / "other.bin")
         config = tiny_config(epochs=3, checkpoint_dir=str(tmp_path / "k"), keep_all=True)
         result = resume(tmp_path / "other.bin", config, split, vocabs)
         state = result.final_state
         assert (state.lr, state.rho, state.eps) == (1e-4, 0.5, 1e-6)
         stored = load_checkpoint(tmp_path / "k" / "ckpt_epoch_3.bin").rmsprop
-        assert (stored["lr"], stored["rho"], stored["eps"]) == (1e-4, 0.5, 1e-6)
+        assert (stored.lr, stored.rho, stored.eps) == (1e-4, 0.5, 1e-6)
         # The settings reached the update: the stored ones give other parameters.
         default = resume(tmp_path / "ckpt_epoch_2.bin", tiny_config(epochs=3), split, vocabs)
         assert not np.array_equal(default.final_params.data, result.final_params.data)
@@ -239,7 +239,7 @@ class TestCheckpointsAndLog:
                                             else np.inf)
             assert saved.params.data.tobytes() == stopped.final_params.data.tobytes()
             for name, arr in stopped.final_state.cache.flat().items():
-                assert saved.rmsprop["cache"].flat()[name].tobytes() == arr.tobytes(), (k, name)
+                assert saved.rmsprop.cache.flat()[name].tobytes() == arr.tobytes(), (k, name)
 
     def test_log_keeps_the_epochs_finished_before_a_failure(self, tiny_task, tmp_path,
                                                             monkeypatch):
@@ -264,6 +264,12 @@ class TestCheckpointsAndLog:
         # Epochs 1-2 were on disk while epoch 3 ran, and nothing came after.
         assert on_disk == [straight[:2]]
         assert strip_wall_time(log) == straight[:2]
+
+    def test_a_fresh_run_starts_its_own_log(self, tiny_task, tmp_path):
+        split, vocabs = tiny_task
+        for _ in range(2):
+            train(tiny_config(epochs=3, checkpoint_dir=str(tmp_path)), split, vocabs)
+        assert [r["epoch"] for r in strip_wall_time(tmp_path / "train_log.jsonl")] == [1, 2, 3]
 
 
 class TestPeakMemory:
