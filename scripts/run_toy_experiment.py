@@ -14,6 +14,8 @@ from pathlib import Path
 
 from tanloss import cli
 
+TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.cfg"
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -34,9 +36,7 @@ def main() -> int:
         ["gen-synthetic", "--out", str(corpus), "--count", str(args.count), "--seed", "1"],
         ["gen-synthetic", "--out", str(held), "--count", "200", "--seed", "2"],
         ["train", "--data", str(corpus / "samples.jsonl"), "--vocab-dir", str(corpus),
-         "--ckpt-dir", str(ckpt), "--epochs", str(args.epochs), "--validate-every", "2",
-         "--batch-size", "32", "--lr", "0.0001", "--gru1", "64", "--gru2", "32",
-         "--head-hidden", "32"],
+         "--ckpt-dir", str(ckpt), "--config", str(TOY_CONFIG), "--epochs", str(args.epochs)],
         ["eval", "--ckpt", str(ckpt / "ckpt_best.bin"), "--data", str(held / "samples.jsonl")],
     ]
     for argv in steps:

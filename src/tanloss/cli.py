@@ -279,11 +279,12 @@ def cmd_predict(args) -> int:
                                for tokens in sentences], pad_index=text_vocab.pad_index)
             # Through the module, so that a wrapper set on network.forward applies.
             verb_pred, state_pred = network.forward(ckpt.params, batch)[:2]
+            verbs, states = (binarize(pred, args.threshold) for pred in (verb_pred, state_pred))
             sys.stdout.write("".join(json.dumps({
                 "tokens": tokens,
-                "verbs": sorted(verb_vocab.tokens[i] for i in binarize(verb, args.threshold)),
-                "states": sorted(state_vocab.tokens[i] for i in binarize(state, args.threshold)),
-            }) + "\n" for tokens, verb, state in zip(sentences, verb_pred, state_pred)))
+                "verbs": sorted(verb_vocab.tokens[i] for i in np.flatnonzero(verb)),
+                "states": sorted(state_vocab.tokens[i] for i in np.flatnonzero(state)),
+            }) + "\n" for tokens, verb, state in zip(sentences, verbs, states)))
             sys.stdout.flush()
             answered = True
         if len(sentences) < len(group):

@@ -5,9 +5,9 @@ absent from the predicted set.  Under the default "subset" tolerance extra
 predicted items disqualify the match; the "symmetric" tolerance instead
 allows any single-item symmetric difference.  Empty label sets count as
 correct only when the prediction is empty too.  Predicted and label sets are
-boolean arrays over the last axis, so ``evaluate`` matches every row at
-once.  ``predictions`` runs a sample set through the model in input order;
-validation and ``evaluate`` both read it.
+boolean arrays over the last axis, as ``binarize`` makes them, so
+``evaluate`` matches every row at once.  ``predictions`` runs a sample set
+through the model in input order; validation and ``evaluate`` both read it.
 """
 
 from dataclasses import dataclass
@@ -20,16 +20,13 @@ from .network import ModelParams, forward
 TOLERANCE_MODES = ("subset", "symmetric")
 
 
-def _check_threshold(threshold: float) -> None:
+def binarize(pred, threshold: float = 0.5) -> np.ndarray:
+    """The boolean predicted set ``pred >= threshold`` (inclusive boundary),
+    over the last axis: one vector for a vector, one row per row for a
+    matrix."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-
-
-def binarize(pred, threshold: float = 0.5) -> set[int]:
-    """Indices with prediction >= threshold (inclusive boundary)."""
-    _check_threshold(threshold)
-    pred = np.asarray(pred, dtype=np.float64)
-    return set(np.flatnonzero(pred >= threshold).tolist())
+    return np.asarray(pred, dtype=np.float64) >= threshold
 
 
 def one_missing_match(pred: np.ndarray, label: np.ndarray, mode: str = "subset"):
@@ -78,11 +75,10 @@ def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
     """Per-head one-missing accuracy over a test set."""
     if not test_set:
         raise ValueError("cannot evaluate an empty test set")
-    _check_threshold(threshold)
     (verb_labels, state_labels), (verb_outputs, state_outputs) = predictions(
         params, test_set, pad_index, batch_size)
-    verb_ok = one_missing_match(verb_outputs >= threshold, verb_labels != 0, mode)
-    state_ok = one_missing_match(state_outputs >= threshold, state_labels != 0, mode)
+    verb_ok = one_missing_match(binarize(verb_outputs, threshold), verb_labels != 0, mode)
+    state_ok = one_missing_match(binarize(state_outputs, threshold), state_labels != 0, mode)
     n = len(verb_ok)
     return EvalReport(
         action_accuracy=100.0 * int(np.count_nonzero(verb_ok)) / n,

@@ -197,9 +197,6 @@ class ModelParams:
                         + [getattr(head, n) for head in (self.verb_head, self.state_head)
                            for n in HEAD_NAMES]))
 
-    def copy(self) -> "ModelParams":
-        return self.like(self.data.copy())
-
 
 def _shapes(s: ModelSizes) -> list[tuple[int, ...]]:
     """Shapes of the fused arrays, in buffer order."""

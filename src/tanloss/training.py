@@ -8,19 +8,18 @@ checkpoint at epoch k replays epochs k+1..N exactly as a straight run would.
 
 Memory: the parameters, one gradient buffer (allocated once and filled by
 every ``backward``) and the RMSProp cache are one flat buffer each.  Every
-checkpoint is written straight from the live buffers.  The best checkpoint
-shares them until the next update; only then is the state copied, with
-``np.copyto``, into one best copy that is allocated at the first such update
-and refilled after that.  So a run whose only improving validation is its
-last never copies, and no run holds more than one best copy.  Each epoch's
-log record is appended to ``train_log.jsonl`` and flushed when the epoch
-ends; ``train`` starts that log anew, ``resume`` appends to it.
+checkpoint is written straight from the live buffers, and no copy of the
+best state is kept: when updates followed the best validation, the gradient
+buffer is freed at the end and the best checkpoint is read back from
+``ckpt_best.bin``.  Each epoch's log record is appended to
+``train_log.jsonl`` and flushed when the epoch ends; ``train`` starts that
+log anew, ``resume`` appends to it.  Both need ``checkpoint_dir``.
 """
 
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +71,9 @@ class TrainLogRecord:
 
 @dataclass
 class TrainResult:
-    """``best`` is the checkpoint of the lowest validation error.  When the
-    last validation was that best and no update followed, it shares its
-    arrays with ``final_params`` and ``final_state``, not copies of them."""
+    """``best`` is the checkpoint of the lowest validation error.  When it
+    is from the last epoch, it shares its arrays with ``final_params`` and
+    ``final_state``; an earlier best is read back from ``ckpt_best.bin``."""
 
     best: Checkpoint | None
     records: list[TrainLogRecord]
@@ -95,16 +94,21 @@ def validation_error(params: ModelParams, samples, pad_index: int,
 
 
 def check_config(config: TrainConfig) -> None:
-    """Raise ValueError unless every count and size is >= 1, lr is finite and
-    positive, and val_fraction is in (0, 1)."""
-    for key in ("epochs", "validate_every", "batch_size", "gru1_hidden", "gru2_hidden",
-                "head_hidden"):
-        if getattr(config, key) < 1:
-            raise ValueError(f"{key} must be >= 1, got {getattr(config, key)}")
+    """Raise ValueError unless every count and size is >= 1, every seed is
+    >= 0, lr is finite and positive, val_fraction is in (0, 1) and
+    checkpoint_dir is set."""
+    for keys, low in ((("epochs", "validate_every", "batch_size", "gru1_hidden",
+                        "gru2_hidden", "head_hidden"), 1),
+                      (("split_seed", "init_seed", "shuffle_seed"), 0)):
+        for key in keys:
+            if getattr(config, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(config, key)}")
     if not 0.0 < config.lr < np.inf:
         raise ValueError(f"lr must be finite and > 0, got {config.lr}")
     if not 0.0 < config.val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {config.val_fraction}")
+    if not config.checkpoint_dir:
+        raise ValueError("checkpoint_dir must be set")
 
 
 def _check_split(split: DatasetSplit) -> None:
@@ -139,21 +143,16 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
     pad_index = vocabs[0].pad_index
     seeds = {"split": config.split_seed, "init": config.init_seed,
              "shuffle": config.shuffle_seed}
-    ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
-    if ckpt_dir is not None:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_dir = Path(config.checkpoint_dir)
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     def checkpoint(epoch: int, err: float) -> Checkpoint:
-        """The live buffers, not copies of them, under a state of its own,
-        so that the best checkpoint's cache can be swapped for its copy."""
+        """The live buffers, not copies of them."""
         return Checkpoint(params=params, epoch=epoch, best_val_error=err, seeds=seeds,
-                          rmsprop=replace(opt), vocabs=_vocab_meta(*vocabs))
+                          rmsprop=opt, vocabs=_vocab_meta(*vocabs))
 
     grads = params.like(np.empty_like(params.data))
     best_ckpt: Checkpoint | None = None
-    # The best checkpoint shares the live buffers until the next update;
-    # only then is it copied, into buffers allocated once and refilled.
-    best_copy: tuple[ModelParams, ModelParams] | None = None
     records: list[TrainLogRecord] = []
     n_train = len(split.train)
 
@@ -169,15 +168,8 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             verb_grad = tangent_loss_grad(batch.verb_labels, verb_pred) / len(batch)
             state_grad = tangent_loss_grad(batch.state_labels, state_pred) / len(batch)
             backward(params, batch, trace, verb_grad, state_grad, out=grads)
-            # Free it before the next batch, or the best copy, allocates.
+            # Free it before the next batch's forward allocates.
             del trace
-            if best_ckpt is not None and best_ckpt.params is params:
-                if best_copy is None:
-                    best_copy = params.copy(), opt.cache.copy()
-                else:
-                    np.copyto(best_copy[0].data, params.data)
-                    np.copyto(best_copy[1].data, opt.cache.data)
-                best_ckpt.params, best_ckpt.rmsprop.cache = best_copy
             rmsprop_step(params, grads.data, opt)
 
         val_err = None
@@ -189,9 +181,8 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
                 best_err = val_err
                 best_ckpt = checkpoint(epoch, val_err)
                 saved = True
-                if ckpt_dir is not None:
-                    _write_with_context(best_ckpt, ckpt_dir / "ckpt_best.bin")
-        if config.keep_all and ckpt_dir is not None:
+                _write_with_context(best_ckpt, ckpt_dir / "ckpt_best.bin")
+        if config.keep_all:
             _write_with_context(checkpoint(epoch, best_err), ckpt_dir / f"ckpt_epoch_{epoch}.bin")
 
         records.append(TrainLogRecord(
@@ -201,10 +192,13 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             checkpoint_saved=saved,
             wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
         ))
-        if ckpt_dir is not None:
-            with (ckpt_dir / "train_log.jsonl").open("a", encoding="utf-8") as fh:
-                fh.write(records[-1].to_json() + "\n")
+        with (ckpt_dir / "train_log.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(records[-1].to_json() + "\n")
 
+    if best_ckpt is not None and best_ckpt.epoch != config.epochs:
+        # Updates followed the best, so its state is only in its file.
+        del grads
+        best_ckpt = load_checkpoint(ckpt_dir / "ckpt_best.bin")
     return TrainResult(best=best_ckpt, records=records, final_params=params, final_state=opt)
 
 
@@ -217,9 +211,8 @@ def train(config: TrainConfig, split: DatasetSplit, vocabs) -> TrainResult:
     """
     check_config(config)
     _check_split(split)
-    if config.checkpoint_dir:
-        # A fresh run starts its own log; a resumed one appends to it.
-        (Path(config.checkpoint_dir) / "train_log.jsonl").unlink(missing_ok=True)
+    # A fresh run starts its own log; a resumed one appends to it.
+    (Path(config.checkpoint_dir) / "train_log.jsonl").unlink(missing_ok=True)
     params = init_params(config.sizes_for(*vocabs), config.init_seed)
     opt = RmsPropState.fresh(params, lr=config.lr)
     return _run_epochs(config, split, vocabs, params, opt, start_epoch=0, best_err=np.inf)

@@ -189,13 +189,14 @@ def test_c07_end_to_end_toy_convergence(toy_run, capsys):
           f"state {report['state_accuracy']:.1f}% in {total_seconds:.0f}s")
 
 
-def test_c08_protocol_fidelity():
+def test_c08_protocol_fidelity(tmp_path):
     """201 epochs with validation every 2 yields exactly 100 validation
     records, and saved-checkpoint errors strictly decrease."""
     samples, vocabs = generate_synthetic_corpus(SyntheticConfig(count=60), seed=1)
     split = split_dataset(samples, 0.2, seed=0)
     config = TrainConfig(epochs=201, validate_every=2, batch_size=16,
-                         gru1_hidden=6, gru2_hidden=4, head_hidden=6)
+                         gru1_hidden=6, gru2_hidden=4, head_hidden=6,
+                         checkpoint_dir=str(tmp_path))
     result = train(config, split, vocabs)
     validations = [r for r in result.records if r.validation_error is not None]
     assert len(validations) == 100

@@ -113,6 +113,8 @@ class TestTrain:
         ("--gru2", "gru2_hidden", "-1"), ("--head-hidden", "head_hidden", "0"),
         ("--val-fraction", "val_fraction", "1.5"), ("--val-fraction", "val_fraction", "0"),
         ("--lr", "lr", "-1"), ("--lr", "lr", "0"), ("--lr", "lr", "nan"), ("--lr", "lr", "inf"),
+        ("--init-seed", "init_seed", "-1"), ("--split-seed", "split_seed", "-1"),
+        ("--shuffle-seed", "shuffle_seed", "-5"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, flag, key, value):
         # The data and vocabulary paths do not exist: the settings are

@@ -19,13 +19,19 @@ def member(items, size=7):
 
 class TestBinarize:
     def test_threshold_selection(self):
-        assert binarize([0.9, 0.2, 0.6], 0.5) == {0, 2}
+        assert binarize([0.9, 0.2, 0.6], 0.5).tolist() == [True, False, True]
 
     def test_boundary_is_inclusive(self):
-        assert binarize([0.5], 0.5) == {0}
+        assert binarize([0.5], 0.5).tolist() == [True]
 
     def test_empty_result(self):
-        assert binarize([0.1, 0.2], 0.5) == set()
+        assert not binarize([0.1, 0.2], 0.5).any()
+
+    def test_rows_of_a_matrix_are_binarized_alike(self):
+        pred = np.array([[0.9, 0.2, 0.6], [0.1, 0.5, 0.4]])
+        got = binarize(pred, 0.5)
+        assert got.dtype == bool and got.shape == pred.shape
+        assert got.tolist() == [binarize(row, 0.5).tolist() for row in pred]
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, -0.2])
     def test_threshold_must_be_interior(self, threshold):
@@ -165,7 +171,7 @@ class TestEvaluate:
             label[:20] = False                      # empty labels
             pred_scores[10:20] = 0.0                # ... some with empty predictions
             got = one_missing_match(pred_scores >= 0.5, label, mode)
-            want = [set_rule(binarize(pred_scores[r], 0.5),
+            want = [set_rule(set(np.flatnonzero(binarize(pred_scores[r], 0.5)).tolist()),
                              set(np.flatnonzero(label[r]).tolist()), mode)
                     for r in range(300)]
             assert got.tolist() == want

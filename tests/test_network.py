@@ -80,7 +80,7 @@ class TestFusedLayout:
         params = init_params(TOY, seed=3)
         save_checkpoint(Checkpoint(params=params, epoch=1, best_val_error=0.5, seeds={}),
                         tmp_path / "m.bin")
-        return {"init": params, "copy": params.copy(),
+        return {"init": params, "copy": params.like(params.data.copy()),
                 "loaded": load_checkpoint(tmp_path / "m.bin").params}
 
     def test_writing_through_a_gate_view_changes_forward(self, tmp_path):

@@ -78,69 +78,79 @@ class TestTotalLoss:
 
 
 class TestProtocol:
-    def test_two_epochs_cadence_two_validates_once(self, tiny_task):
+    def test_two_epochs_cadence_two_validates_once(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=2), split, vocabs)
+        result = train(tiny_config(epochs=2, checkpoint_dir=str(tmp_path)), split, vocabs)
         validations = [r for r in result.records if r.validation_error is not None]
         assert len(validations) == 1
         assert validations[0].epoch == 2
 
-    def test_validation_present_iff_epoch_on_cadence(self, tiny_task):
+    def test_validation_present_iff_epoch_on_cadence(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=7, validate_every=3), split, vocabs)
+        result = train(tiny_config(epochs=7, validate_every=3, checkpoint_dir=str(tmp_path)),
+                       split, vocabs)
         for record in result.records:
             assert (record.validation_error is not None) == (record.epoch % 3 == 0)
 
-    def test_no_validation_means_no_best(self, tiny_task):
+    def test_no_validation_means_no_best(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=1, validate_every=2), split, vocabs)
+        result = train(tiny_config(epochs=1, validate_every=2, checkpoint_dir=str(tmp_path)),
+                       split, vocabs)
         assert result.best is None
 
-    def test_strict_improvement_rule(self, tiny_task, monkeypatch):
+    def test_strict_improvement_rule(self, tiny_task, tmp_path, monkeypatch):
         errors = iter([5.0, 4.0, 4.5, 3.9])
         monkeypatch.setattr(training, "validation_error", lambda *a, **k: next(errors))
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=8), split, vocabs)
+        result = train(tiny_config(epochs=8, checkpoint_dir=str(tmp_path)), split, vocabs)
         assert [r.checkpoint_saved for r in result.records if r.validation_error is not None] \
             == [True, True, False, True]
         assert result.best.best_val_error == 3.9
 
-    def test_best_checkpoint_matches_log_minimum(self, tiny_task):
+    def test_best_checkpoint_matches_log_minimum(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=10), split, vocabs)
+        result = train(tiny_config(epochs=10, checkpoint_dir=str(tmp_path)), split, vocabs)
         vals = [r.validation_error for r in result.records if r.validation_error is not None]
         assert result.best.best_val_error == min(vals)
 
-    def test_saved_checkpoint_errors_strictly_decrease(self, tiny_task):
+    def test_saved_checkpoint_errors_strictly_decrease(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=12), split, vocabs)
+        result = train(tiny_config(epochs=12, checkpoint_dir=str(tmp_path)), split, vocabs)
         saved = [r.validation_error for r in result.records if r.checkpoint_saved]
         assert saved == sorted(saved, reverse=True)
         assert len(set(saved)) == len(saved)
 
-    def test_loss_decreases_by_epoch_twenty(self, tiny_task):
+    def test_loss_decreases_by_epoch_twenty(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
-        result = train(tiny_config(epochs=20), split, vocabs)
+        result = train(tiny_config(epochs=20, checkpoint_dir=str(tmp_path)), split, vocabs)
         assert result.records[19].mean_total_loss < result.records[0].mean_total_loss
 
-    def test_empty_split_rejected(self, tiny_task):
+    def test_empty_split_rejected(self, tiny_task, tmp_path):
         _, vocabs = tiny_task
         empty = DatasetSplit(train=[], validation=[], split_seed=0)
         with pytest.raises(DataError, match="nonempty"):
-            train(tiny_config(), empty, vocabs)
+            train(tiny_config(checkpoint_dir=str(tmp_path)), empty, vocabs)
 
-    def test_unlabeled_training_sample_rejected(self, tiny_task):
+    def test_unlabeled_training_sample_rejected(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
         bad = Sample(tokens=[1, 2], verb_label=np.zeros(9), state_label=np.zeros(7))
         broken = DatasetSplit(train=split.train[:4] + [bad], validation=split.validation,
                               split_seed=0)
         with pytest.raises(DataError, match="empty verb or state label"):
-            train(tiny_config(), broken, vocabs)
+            train(tiny_config(checkpoint_dir=str(tmp_path)), broken, vocabs)
 
-    def test_bad_cadence_rejected(self, tiny_task):
+    def test_train_and_resume_need_a_checkpoint_dir(self, tiny_task, tmp_path):
+        split, vocabs = tiny_task
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            train(tiny_config(), split, vocabs)
+        train(tiny_config(epochs=2, keep_all=True, checkpoint_dir=str(tmp_path)), split, vocabs)
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            resume(tmp_path / "ckpt_epoch_2.bin", tiny_config(epochs=4), split, vocabs)
+
+    def test_bad_cadence_rejected(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
         with pytest.raises(ValueError, match="validate_every"):
-            train(tiny_config(validate_every=0), split, vocabs)
+            train(tiny_config(validate_every=0, checkpoint_dir=str(tmp_path)), split, vocabs)
 
 
 class TestDeterminism:
@@ -179,7 +189,7 @@ class TestResume:
         split, vocabs = tiny_task
         config = tiny_config(epochs=4, checkpoint_dir=str(tmp_path), keep_all=True)
         result = train(config, split, vocabs)
-        again = resume(tmp_path / "ckpt_epoch_4.bin", tiny_config(epochs=4), split, vocabs)
+        again = resume(tmp_path / "ckpt_epoch_4.bin", config, split, vocabs)
         assert again.records == []
         for name, arr in result.final_params.flat().items():
             assert np.array_equal(arr, again.final_params.flat()[name])
@@ -197,7 +207,9 @@ class TestResume:
         stored = load_checkpoint(tmp_path / "k" / "ckpt_epoch_3.bin").rmsprop
         assert (stored.lr, stored.rho, stored.eps) == (1e-4, 0.5, 1e-6)
         # The settings reached the update: the stored ones give other parameters.
-        default = resume(tmp_path / "ckpt_epoch_2.bin", tiny_config(epochs=3), split, vocabs)
+        default = resume(tmp_path / "ckpt_epoch_2.bin",
+                         tiny_config(epochs=3, checkpoint_dir=str(tmp_path / "default")),
+                         split, vocabs)
         assert not np.array_equal(default.final_params.data, result.final_params.data)
 
     def test_resume_with_other_sizes_rejected(self, tiny_task, tmp_path):
@@ -205,7 +217,8 @@ class TestResume:
         config = tiny_config(epochs=2, checkpoint_dir=str(tmp_path), keep_all=True)
         train(config, split, vocabs)
         with pytest.raises(CheckpointError, match="does not match"):
-            resume(tmp_path / "ckpt_epoch_2.bin", tiny_config(epochs=4, gru1_hidden=7),
+            resume(tmp_path / "ckpt_epoch_2.bin",
+                   tiny_config(epochs=4, gru1_hidden=7, checkpoint_dir=str(tmp_path)),
                    split, vocabs)
 
 
@@ -232,7 +245,8 @@ class TestCheckpointsAndLog:
         split, vocabs = tiny_task
         train(tiny_config(epochs=4, keep_all=True, checkpoint_dir=str(tmp_path)), split, vocabs)
         for k in range(1, 5):
-            stopped = train(tiny_config(epochs=k), split, vocabs)
+            stopped = train(tiny_config(epochs=k, checkpoint_dir=str(tmp_path / f"stopped_{k}")),
+                            split, vocabs)
             saved = load_checkpoint(tmp_path / f"ckpt_epoch_{k}.bin")
             assert saved.epoch == k
             assert saved.best_val_error == (stopped.best.best_val_error if stopped.best
@@ -274,14 +288,15 @@ class TestCheckpointsAndLog:
 
 class TestPeakMemory:
     """At these sizes the parameters dominate what training allocates.  The
-    live state is the parameters and the RMSProp cache (2 parameter sizes),
-    the gradient buffer is 1 and a best copy 2; activations stay below half
-    a parameter size."""
+    live state is the parameters and the RMSProp cache (2 parameter sizes)
+    and the gradient buffer is 1.  No copy of the best is kept: when updates
+    followed it, the gradient buffer is freed and the best is read back from
+    disk (2 more).  Activations stay below half a parameter size."""
 
-    def peak_in_parameter_sizes(self, tiny_task, **overrides):
+    def peak_in_parameter_sizes(self, tiny_task, tmp_path, **overrides):
         split, vocabs = tiny_task
         config = tiny_config(batch_size=4, gru1_hidden=256, gru2_hidden=256, head_hidden=32,
-                             **overrides)
+                             checkpoint_dir=str(tmp_path), **overrides)
         tracemalloc.start()
         try:
             result = train(config, split, vocabs)
@@ -290,11 +305,13 @@ class TestPeakMemory:
             tracemalloc.stop()
         return peak / result.final_params.data.nbytes
 
-    def test_improvements_refill_one_best_copy(self, tiny_task, monkeypatch):
+    def test_an_earlier_best_is_read_back_from_disk(self, tiny_task, tmp_path, monkeypatch):
         # Two improvements, each followed by further updates.
         errors = iter([3.0, 2.0, 2.5, 2.6])
         monkeypatch.setattr(training, "validation_error", lambda *a, **k: next(errors))
-        assert self.peak_in_parameter_sizes(tiny_task, epochs=4, validate_every=1) < 2 + 1 + 2.5
+        assert self.peak_in_parameter_sizes(tiny_task, tmp_path, epochs=4,
+                                            validate_every=1) < 2 + 1 + 1.5
 
-    def test_a_run_ending_on_its_only_improvement_never_copies(self, tiny_task):
-        assert self.peak_in_parameter_sizes(tiny_task, epochs=4, validate_every=4) < 2 + 1.5
+    def test_a_run_ending_on_its_only_improvement_never_copies(self, tiny_task, tmp_path):
+        assert self.peak_in_parameter_sizes(tiny_task, tmp_path, epochs=4,
+                                            validate_every=4) < 2 + 1.5
