@@ -6,7 +6,7 @@ launch (see the package's __init__).
 
 ``eval`` and ``predict`` load the parameters only and skip the checkpoint's
 optimizer cache.  ``predict`` reads stdin as a stream: it answers the first
-line alone as soon as it is read, then each group of up to PREDICT_GROUP
+line alone as soon as it is read, then each group of up to INFERENCE_BATCH
 complete lines already read with one forward pass, printing the lines in
 input order and flushing stdout after each group.  A blank line prints every
 line before it, then fails.
@@ -28,7 +28,7 @@ from . import network
 from .corpus import (DataError, Sample, SyntheticConfig, generate_synthetic_corpus,
                      ingest_jsonl, load_vocab, pad_batch, read_utf8, save_vocab, split_dataset,
                      write_jsonl)
-from .evaluation import TOLERANCE_MODES, binarize, evaluate
+from .evaluation import INFERENCE_BATCH, TOLERANCE_MODES, binarize, evaluate
 from .network import CheckpointError, ModelSizes, check_fingerprint, load_checkpoint
 from .training import TrainConfig, check_config, gradient_check, resume, train, vocabs_from_meta
 
@@ -38,8 +38,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 GRADCHECK_TOLERANCE = 1e-4
-# Most lines `predict` runs through one forward pass.
-PREDICT_GROUP = 64
 
 
 class ConfigError(ValueError):
@@ -240,7 +238,7 @@ def _line_groups(stream):
     """Yield the lines of ``stream`` in groups as they become readable.
 
     The first line comes alone; after it, a group holds the complete lines
-    already read, at most PREDICT_GROUP.  A read returns whatever input is
+    already read, at most INFERENCE_BATCH.  A read returns whatever input is
     available (``read1`` on the byte buffer), so no complete line waits for
     more.  Lines end at \\n, \\r\\n or \\r, as in a text-mode read; a last
     line needs no newline.  Streams without a byte buffer, such as
@@ -263,8 +261,8 @@ def _line_groups(stream):
             yield lines[:1]
             del lines[0]
             first = False
-        for i in range(0, len(lines), PREDICT_GROUP):
-            yield lines[i:i + PREDICT_GROUP]
+        for i in range(0, len(lines), INFERENCE_BATCH):
+            yield lines[i:i + INFERENCE_BATCH]
 
 
 def cmd_predict(args) -> int:

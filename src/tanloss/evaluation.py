@@ -18,6 +18,10 @@ from .corpus import Sample, make_batches
 from .network import ModelParams, forward
 
 TOLERANCE_MODES = ("subset", "symmetric")
+# Most sentences one inference forward runs (validation, ``eval`` and
+# ``predict``).  Each recurrent step is one GEMM over the sentences still
+# running, and a GEMM over more rows runs faster per row.
+INFERENCE_BATCH = 128
 
 
 def binarize(pred, threshold: float = 0.5) -> np.ndarray:
@@ -59,7 +63,7 @@ class EvalReport:
 
 
 def predictions(params: ModelParams, samples: list[Sample], pad_index: int,
-                batch_size: int = 64):
+                batch_size: int = INFERENCE_BATCH):
     """``((verb_labels, state_labels), (verb_outputs, state_outputs))`` for
     ``samples``: four matrices with one row per sample, in input order."""
     # [:2] drops each batch's trace before the next batch's forward runs.
@@ -71,7 +75,7 @@ def predictions(params: ModelParams, samples: list[Sample], pad_index: int,
 
 def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
              threshold: float = 0.5, mode: str = "subset",
-             batch_size: int = 64) -> EvalReport:
+             batch_size: int = INFERENCE_BATCH) -> EvalReport:
     """Per-head one-missing accuracy over a test set."""
     if not test_set:
         raise ValueError("cannot evaluate an empty test set")

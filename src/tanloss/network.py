@@ -29,16 +29,21 @@ Conventions fixed here and relied on by the test suite:
     GEMMs (z and r, then hc).  Backward sweeps layer 2, turns its gate deltas into layer 1's
     input gradient with one GEMM, sweeps layer 1, and forms each weight
     gradient after its sweep as one GEMM over all packed steps.
-  * A layer's trace holds z and r in one array and hc in another, so the
-    rows of a step are one contiguous block of each and the step's numpy
-    calls run on contiguous memory.
+  * A layer's trace holds z and r in one array, hc in another and h' in a
+    third: 4n values per packed row, so the rows of a step are one
+    contiguous block of each and the step's numpy calls run on contiguous
+    memory.  A forward step reads the state entering it as a view of the
+    previous step's h' rows, and r * h goes into one buffer that every step
+    reuses; neither is kept.
   * BPTT hoists what depends on the trace alone.  With g = dL/dh', the
     deltas are dz = g (hc - h) z (1 - z), dhc = g z (1 - hc^2) and
-    dr = (dhc U_h) h r (1 - r), and g (1 - z) carries g back to h.  These
-    trace factors are formed for every packed row before the sweep, the
-    first three in the deltas buffer itself, so a step is a few elementwise
-    calls and its two GEMMs; step 0, which starts from the zero state,
-    needs neither GEMM.
+    dr = (dhc U_h) h r (1 - r), and g (1 - z) carries g back to h.  Each
+    layer's entering state h is rebuilt from its h' with one gather before
+    its sweep (and r * h with one multiply after it, for the U_h
+    gradient), one layer at a time.  The trace factors are formed for every
+    packed row before the sweep, the first three in the deltas buffer
+    itself, so a step is a few elementwise calls and its two GEMMs; step 0,
+    which starts from the zero state, needs neither GEMM.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
     deltas with a one-hot matrix over the tokens present in the batch, so
@@ -246,12 +251,11 @@ def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
 class LayerTrace:
     """One GRU layer's activations over the packed steps (see the module
     docstring), row block [lo, hi) per step.  The gates are two arrays, so
-    that a step's rows of each are one contiguous block."""
+    that a step's rows of each are one contiguous block.  The state entering
+    a step and r * h are not kept: backward rebuilds them from h_out and r."""
 
-    h_in: np.ndarray      # (N, n) state entering the step
     zr: np.ndarray        # (N, 2n) z, r after their sigmoid
     hc: np.ndarray        # (N, n) candidate state after its tanh
-    rh: np.ndarray        # (N, n) r * h_in, the input of U_h
     h_out: np.ndarray     # (N, n) state leaving the step
 
 
@@ -278,20 +282,19 @@ def _layer_forward(layer: GruLayerParams, project, blocks: list) -> LayerTrace:
     zr += layer.b[:2 * n]
     hc = project(layer.W[2 * n:])
     hc += layer.b[2 * n:]
-    N = len(zr)
-    # h_in and rh are zero on the rows of step 0.
-    lt = LayerTrace(np.zeros((N, n)), zr, hc, np.zeros((N, n)), np.empty((N, n)))
+    lt = LayerTrace(zr, hc, np.empty((len(zr), n)))
+    # r * h of one step, reused; step 0 has the most rows.
+    rh = np.empty((blocks[0][1], n))
     for t, (lo, hi) in enumerate(blocks):
-        z_r, c, h, h_out = zr[lo:hi], hc[lo:hi], lt.h_in[lo:hi], lt.h_out[lo:hi]
+        z_r, c, h_out = zr[lo:hi], hc[lo:hi], lt.h_out[lo:hi]
+        # The running rows of step t are the first hi-lo rows of step t-1.
         # Step 0 starts from the zero state, whose recurrent products vanish.
+        h = lt.h_out[blocks[t - 1][0]:][:hi - lo] if t else np.zeros((hi - lo, n))
         if t:
-            # The running rows of step t are the first hi-lo rows of step t-1.
-            h[...] = lt.h_out[blocks[t - 1][0]:][:hi - lo]
             z_r += h @ U[:2 * n].T
         _sigmoid(z_r, out=z_r)
         if t:
-            rh = np.multiply(z_r[:, n:], h, out=lt.rh[lo:hi])
-            c += rh @ U[2 * n:].T
+            c += np.multiply(z_r[:, n:], h, out=rh[:hi - lo]) @ U[2 * n:].T
         np.tanh(c, out=c)
         # h' = h + z * (hc - h)
         np.subtract(c, h, out=h_out)
@@ -363,18 +366,34 @@ def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad,
     return d_a @ head.W1
 
 
+def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
+    """The state entering each packed row, from the layer's ``h_out``: zero
+    on step 0, and on step t row j - k_{t-1} of h_out, where k_{t-1} is the
+    number of rows of step t-1 (the same sentence one step earlier)."""
+    k = np.array([hi - lo for lo, hi in blocks])
+    h = np.empty_like(h_out)
+    h[:k[0]] = 0.0
+    rows = np.arange(k[0], len(h_out)) - np.repeat(k[:-1], k[1:])
+    # mode="clip" (the rows are in range) lets take write into ``out``
+    # without a temporary.
+    np.take(h_out, rows, axis=0, out=h[k[0]:], mode="clip")
+    return h
+
+
 def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
-                    dx: np.ndarray | None = None) -> np.ndarray:
+                    grads: GruLayerParams, dx: np.ndarray | None = None) -> np.ndarray:
     """Sweep one layer back over the packed steps, starting from dL/dh in
     ``dh`` (B, n, running order; updated in place).  ``dx`` adds the
     gradient that arrives through each step's output from the layer above.
-    Returns the pre-activation deltas [dz; dr; dhc] (N, 3n).
+    Writes the layer's U and b gradients into ``grads`` and returns the
+    pre-activation deltas [dz; dr; dhc] (N, 3n).
 
     The trace factors of the deltas (see the module docstring) are formed
     for every packed row before the sweep, in the deltas buffer itself, and
     each step scales its rows of them into deltas."""
     n = U.shape[1]
-    z, r, hc, h = lt.zr[:, :n], lt.zr[:, n:], lt.hc, lt.h_in
+    z, r, hc = lt.zr[:, :n], lt.zr[:, n:], lt.hc
+    h = _entering_state(lt.h_out, blocks)
     deltas = np.empty((len(h), 3 * n))
     dz, dr, dhc = deltas[:, :n], deltas[:, n:2 * n], deltas[:, 2 * n:]
     # In place, as a temporary per factor would raise the peak memory.
@@ -403,19 +422,15 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
         d_rh *= r[lo:hi]
         g += d_rh
         g += deltas[lo:hi, :2 * n] @ U[:2 * n]
-    return deltas
-
-
-def _recurrent_grads(deltas: np.ndarray, lt: LayerTrace, blocks: list,
-                     grads: GruLayerParams) -> None:
-    """Writes one layer's U and b gradients into ``grads``, each one GEMM or
-    sum over the packed steps.  Step 0 starts from the zero state, so its
-    rows of h_in and rh are zero and the U GEMMs start after them."""
-    n = lt.h_in.shape[1]
+    del keep
+    # U and b gradients, each one GEMM or sum over the packed steps.  The
+    # rows of step 0 have h = r h = 0, so the U GEMMs start after them.
     lo = blocks[1][0] if len(blocks) > 1 else len(deltas)
-    np.matmul(deltas[lo:, :2 * n].T, lt.h_in[lo:], out=grads.U[:2 * n])
-    np.matmul(deltas[lo:, 2 * n:].T, lt.rh[lo:], out=grads.U[2 * n:])
+    np.matmul(deltas[lo:, :2 * n].T, h[lo:], out=grads.U[:2 * n])
+    h[lo:] *= r[lo:]                        # r h, the input of U_h
+    np.matmul(deltas[lo:, 2 * n:].T, h[lo:], out=grads.U[2 * n:])
     np.sum(deltas, axis=0, out=grads.b)
+    return deltas
 
 
 def backward(params: ModelParams, batch, trace: ForwardTrace,
@@ -440,14 +455,13 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
                               state_out_grad, grads.state_head)
 
     dh2 = (dh_verb + dh_state)[trace.order]
-    d2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2)
+    d2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, grads.gru2)
     np.matmul(d2.T, trace.gru1.h_out, out=grads.gru2.W)
-    _recurrent_grads(d2, trace.gru2, trace.blocks, grads.gru2)
     dx1 = d2 @ g2.W
     del d2
 
     dh1 = np.zeros((len(trace.order), g1.U.shape[1]))
-    d1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, dx=dx1)
+    d1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, grads.gru1, dx=dx1)
     # Sum each token's input deltas with one one-hot GEMM over the tokens
     # present, then place the sums in those tokens' columns of W.
     present, which = np.unique(trace.tokens, return_inverse=True)
@@ -455,7 +469,6 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     one_hot[which, np.arange(len(trace.tokens))] = 1.0
     grads.gru1.W.fill(0.0)
     grads.gru1.W[:, present] = (one_hot @ d1).T
-    _recurrent_grads(d1, trace.gru1, trace.blocks, grads.gru1)
     return grads.flat()
 
 

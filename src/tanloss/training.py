@@ -87,10 +87,9 @@ def total_loss(verb_pred, verb_label, state_pred, state_label) -> float:
     return tangent_loss(verb_label, verb_pred) + tangent_loss(state_label, state_pred)
 
 
-def validation_error(params: ModelParams, samples, pad_index: int,
-                     batch_size: int = 64) -> float:
+def validation_error(params: ModelParams, samples, pad_index: int) -> float:
     """Mean over samples of the two heads' cross-entropy-gap errors."""
-    return batch_error(*predictions(params, samples, pad_index, batch_size))
+    return batch_error(*predictions(params, samples, pad_index))
 
 
 def check_config(config: TrainConfig) -> None:
@@ -159,8 +158,9 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
     for epoch in range(start_epoch + 1, config.epochs + 1):
         t0 = time.perf_counter()
         loss_sum = 0.0
-        for batch in make_batches(split.train, config.batch_size,
-                                  seed=config.shuffle_seed + epoch, pad_index=pad_index):
+        for number, batch in enumerate(make_batches(
+                split.train, config.batch_size, seed=config.shuffle_seed + epoch,
+                pad_index=pad_index), start=1):
             verb_pred, state_pred, trace = forward(params, batch)
             loss_sum += total_loss(verb_pred, batch.verb_labels, state_pred, batch.state_labels)
             # The gradient of the batch mean, so that lr does not depend on
@@ -170,13 +170,16 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             backward(params, batch, trace, verb_grad, state_grad, out=grads)
             # Free it before the next batch's forward allocates.
             del trace
-            rmsprop_step(params, grads.data, opt)
+            try:
+                rmsprop_step(params, grads.data, opt)
+            except ValueError as exc:
+                # Raised before any parameter moves: name where it happened.
+                raise ValueError(f"epoch {epoch}, batch {number}: {exc}") from None
 
         val_err = None
         saved = False
         if epoch % config.validate_every == 0:
-            val_err = validation_error(params, split.validation, pad_index,
-                                       batch_size=config.batch_size)
+            val_err = validation_error(params, split.validation, pad_index)
             if val_err < best_err:
                 best_err = val_err
                 best_ckpt = checkpoint(epoch, val_err)

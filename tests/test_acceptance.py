@@ -23,7 +23,7 @@ import pytest
 from tanloss import cli
 from tanloss.corpus import Sample, SyntheticConfig, generate_synthetic_corpus, pad_batch, \
     split_dataset
-from tanloss.losses import (BOUNDED_COEFF, SCALE, cross_entropy, error_epsilon, softmax_pmf,
+from tanloss.losses import (BOUNDED_COEFF, SCALE, error_epsilon, softmax_pmf,
                             tangent_loss, tangent_loss_grad)
 from tanloss.network import ModelSizes, forward, init_params, load_checkpoint, save_checkpoint
 from tanloss.network import Checkpoint
@@ -122,16 +122,15 @@ def test_c04_error_function_suite():
         y = rng.integers(0, 2, size=m).astype(float)
         assert error_epsilon(y, y.copy()) == 0.0
 
-    # Continuity bound on 10^4 random pairs.
+    # Continuity bound on 10^4 random pairs, for the error validation computes.
     for _ in range(10_000):
         m = int(rng.integers(2, 17))
         y = rng.integers(0, 2, size=m).astype(float)
         p = rng.uniform(0.0, 1.0, size=m)
         q_label = softmax_pmf(y)
         p_pred = softmax_pmf(p)
-        gap = abs(cross_entropy(p_pred, q_label) - cross_entropy(q_label, q_label))
         bound = np.max(np.abs(np.log2(q_label))) * np.sum(np.abs(q_label - p_pred))
-        assert gap <= bound + 1e-12
+        assert error_epsilon(y, p) <= bound + 1e-12
 
     # Frozen two-point value against the arbitrary-precision oracle.
     e = mp.e

@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tanloss
-from tanloss import cli, network
+from tanloss import cli, network, training
 from tanloss.corpus import DataError, ingest_jsonl, load_vocab
+from tanloss.evaluation import INFERENCE_BATCH
 
 
 def run(capsys, *argv):
@@ -88,6 +89,18 @@ class TestTrain:
                                "--ckpt-dir", str(tmp_path / "k"), "--epochs", "1")
             assert code == 3
             assert "data error" in err and str(named) in err
+
+    def test_non_finite_gradient_exits_1_naming_where(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "c"
+        assert cli.main(["gen-synthetic", "--out", str(corpus), "--count", "20"]) == 0
+        monkeypatch.setattr(training, "tangent_loss_grad",
+                            lambda y, p: np.full(np.shape(p), np.nan))
+        code, _, err = run(capsys, "train", "--data", str(corpus / "samples.jsonl"),
+                           "--vocab-dir", str(corpus), "--ckpt-dir", str(tmp_path / "k"),
+                           "--epochs", "1", "--gru1", "4", "--gru2", "3", "--head-hidden", "3",
+                           "--quiet")
+        assert code == 1
+        assert "epoch 1, batch 1: non-finite gradient at gru1.W_z[0, " in err
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         cases = [(line.encode(), "unknown key") for line in (
@@ -478,11 +491,11 @@ class TestPredict:
 
     def test_groups_match_line_by_line(self, mini_run, capsys, monkeypatch):
         ckpt = mini_run["ckpt"] / "ckpt_best.bin"
-        lines = self.sentences(mini_run["corpus"], 130, seed=5)
+        lines = self.sentences(mini_run["corpus"], 2 * INFERENCE_BATCH + 2, seed=5)
         code, out, _, calls = self.predict_recording(monkeypatch, capsys, ckpt,
                                                      "\n".join(lines) + "\n")
         assert code == 0
-        assert [len(verb) for verb, _ in calls] == [1, 64, 64, 1]
+        assert [len(verb) for verb, _ in calls] == [1, INFERENCE_BATCH, INFERENCE_BATCH, 1]
         grouped = out.splitlines()
         batched_verb = np.concatenate([verb for verb, _ in calls])
         batched_state = np.concatenate([state for _, state in calls])
@@ -517,7 +530,8 @@ class TestPredict:
         assert [len(verb) for verb, _ in calls] == [1, 3]
 
     def test_line_groups_over_chunked_bytes(self):
-        chunks = [b"ab", b"c\r", b"\nd\xc3", b"\xa9 e\n\rg\n", b"h\n" * 70, b"last"]
+        chunks = [b"ab", b"c\r", b"\nd\xc3", b"\xa9 e\n\rg\n", b"h\n" * (INFERENCE_BATCH + 6),
+                  b"last"]
 
         class Stream:
             encoding, errors = "utf-8", "strict"
@@ -528,7 +542,8 @@ class TestPredict:
                     return chunks.pop(0) if chunks else b""
 
         groups = list(cli._line_groups(Stream()))
-        assert groups == [["abc"], ["d\u00e9 e", "", "g"], ["h"] * 64, ["h"] * 6, ["last"]]
+        assert groups == [["abc"], ["d\u00e9 e", "", "g"], ["h"] * INFERENCE_BATCH, ["h"] * 6,
+                          ["last"]]
 
     def test_answers_each_line_on_a_live_pipe(self, mini_run):
         # Line 2 is sent only after line 1's answer came back, and stdin stays

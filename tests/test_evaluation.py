@@ -4,8 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tanloss.corpus import Sample, SyntheticConfig, generate_synthetic_corpus, pad_batch
-from tanloss.evaluation import EvalReport, binarize, evaluate, one_missing_match
+from tanloss.evaluation import (INFERENCE_BATCH, EvalReport, binarize, evaluate,
+                                one_missing_match, predictions)
+from tanloss.losses import batch_error
 from tanloss.network import ModelSizes, forward, init_params
+from tanloss.training import validation_error
 
 index_sets = st.sets(st.integers(0, 6), max_size=5)
 
@@ -205,3 +208,33 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate(init_params(TOY, seed=0), [], pad_index=7)
+
+
+class TestInferenceBatch:
+    def test_outputs_flags_and_validation_error_do_not_depend_on_the_batch(self):
+        # More samples than one inference batch, of lengths 3 to 8.
+        samples, (text_vocab, _, _) = generate_synthetic_corpus(
+            SyntheticConfig(count=2 * INFERENCE_BATCH + 17), seed=4)
+        sizes = ModelSizes(input_dim=len(text_vocab), verb_dim=len(samples[0].verb_label),
+                           state_dim=len(samples[0].state_label), gru1_hidden=16,
+                           gru2_hidden=8, head_hidden=8)
+        params = init_params(sizes, seed=6)
+        pad = text_vocab.pad_index
+        alone = [forward(params, pad_batch([sample], pad_index=pad))[:2] for sample in samples]
+        verb_alone, state_alone = (np.concatenate(rows) for rows in zip(*alone))
+        labels = (np.stack([s.verb_label for s in samples]),
+                  np.stack([s.state_label for s in samples]))
+        flags_alone = list(zip(
+            one_missing_match(binarize(verb_alone), labels[0] != 0).tolist(),
+            one_missing_match(binarize(state_alone), labels[1] != 0).tolist()))
+        error_alone = batch_error(labels, (verb_alone, state_alone))
+        assert validation_error(params, samples, pad) == pytest.approx(error_alone, rel=0,
+                                                                       abs=1e-12)
+        for size in (3, 64, INFERENCE_BATCH):
+            _, (verb, state) = predictions(params, samples, pad, batch_size=size)
+            np.testing.assert_allclose(verb, verb_alone, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state, state_alone, rtol=0, atol=1e-12)
+            assert batch_error(labels, (verb, state)) == pytest.approx(error_alone, rel=0,
+                                                                       abs=1e-12)
+            assert evaluate(params, samples, pad, batch_size=size).per_sample_flags \
+                == flags_alone

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -250,6 +251,25 @@ class TestForward:
         # ulp-level rounding here; padding at fixed composition is bit-exact.
         assert np.allclose(v1[0], v2[0], rtol=0, atol=1e-12)
         assert np.allclose(s1[0], s2[0], rtol=0, atol=1e-12)
+
+    def test_trace_holds_four_values_per_unit_and_packed_row(self):
+        # z, r, hc and h_out per packed row and GRU unit: the state entering
+        # a step and r * h are rebuilt by backward, not kept.
+        sizes = ModelSizes(input_dim=20, verb_dim=3, state_dim=3, gru1_hidden=64,
+                           gru2_hidden=32, head_hidden=4)
+        params = init_params(sizes, seed=0)
+        batch = make_batch(sizes, [8, 7, 5, 8, 3, 8, 6, 1] * 8, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outputs = forward(params, batch)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        units, packed = sizes.gru1_hidden + sizes.gru2_hidden, int(batch.lengths.sum())
+        # Slack for the tokens, the heads' trace and the outputs.
+        assert held <= 8 * packed * (4 * units + units // 2)
+        assert len(outputs) == 3
 
     def test_deterministic(self):
         params = init_params(TOY, seed=5)

@@ -279,6 +279,31 @@ class TestCheckpointsAndLog:
         assert on_disk == [straight[:2]]
         assert strip_wall_time(log) == straight[:2]
 
+    def test_non_finite_gradient_names_epoch_batch_and_coordinate(self, tiny_task, tmp_path,
+                                                                   monkeypatch):
+        split, vocabs = tiny_task
+        grad, steps = training.tangent_loss_grad, training.rmsprop_step
+        calls, before = [], []
+
+        def poisoned(y, p):
+            calls.append(None)
+            # Two calls per batch and 3 batches of 16 per epoch: call 15 is
+            # the verb head's of epoch 3, batch 2.
+            return np.full(np.shape(p), np.nan) if len(calls) == 15 else grad(y, p)
+
+        def recording(params, *args):
+            before.append((params.data, params.data.copy()))
+            return steps(params, *args)
+
+        monkeypatch.setattr(training, "tangent_loss_grad", poisoned)
+        monkeypatch.setattr(training, "rmsprop_step", recording)
+        with pytest.raises(ValueError, match=r"^epoch 3, batch 2: non-finite gradient at "
+                                             r"gru1\.W_z\[0, \d+\]$"):
+            train(tiny_config(epochs=4, checkpoint_dir=str(tmp_path)), split, vocabs)
+        live, copy = before[-1]
+        assert live.tobytes() == copy.tobytes()     # the failing step moved no parameter
+        assert [r["epoch"] for r in strip_wall_time(tmp_path / "train_log.jsonl")] == [1, 2]
+
     def test_a_fresh_run_starts_its_own_log(self, tiny_task, tmp_path):
         split, vocabs = tiny_task
         for _ in range(2):
