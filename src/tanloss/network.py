@@ -38,12 +38,12 @@ Conventions fixed here and relied on by the test suite:
   * BPTT hoists what depends on the trace alone.  With g = dL/dh', the
     deltas are dz = g (hc - h) z (1 - z), dhc = g z (1 - hc^2) and
     dr = (dhc U_h) h r (1 - r), and g (1 - z) carries g back to h.  Each
-    layer's entering state h is rebuilt from its h' with one gather before
-    its sweep (and r * h with one multiply after it, for the U_h
-    gradient), one layer at a time.  The trace factors are formed for every
-    packed row before the sweep, the first three in the deltas buffer
-    itself, so a step is a few elementwise calls and its two GEMMs; step 0,
-    which starts from the zero state, needs neither GEMM.
+    layer's entering state h is rebuilt from its h' before its sweep (and
+    r * h with one multiply after it, for the U_h gradient), one layer at a
+    time.  The trace factors are formed for every packed row before the
+    sweep, the first three in the deltas buffer itself, so a step is a few
+    elementwise calls and its two GEMMs; step 0, which starts from the zero
+    state, needs neither GEMM.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
     deltas with a one-hot matrix over the tokens present in the batch, so
@@ -367,16 +367,13 @@ def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad,
 
 
 def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
-    """The state entering each packed row, from the layer's ``h_out``: zero
-    on step 0, and on step t row j - k_{t-1} of h_out, where k_{t-1} is the
-    number of rows of step t-1 (the same sentence one step earlier)."""
-    k = np.array([hi - lo for lo, hi in blocks])
+    """The state entering each packed row, rebuilt from the layer's
+    ``h_out``: zero on step 0, and on step t the first k_t rows of step
+    t-1's h_out, as in ``_layer_forward``."""
     h = np.empty_like(h_out)
-    h[:k[0]] = 0.0
-    rows = np.arange(k[0], len(h_out)) - np.repeat(k[:-1], k[1:])
-    # mode="clip" (the rows are in range) lets take write into ``out``
-    # without a temporary.
-    np.take(h_out, rows, axis=0, out=h[k[0]:], mode="clip")
+    h[:blocks[0][1]] = 0.0
+    for (prev, _), (lo, hi) in zip(blocks, blocks[1:]):
+        h[lo:hi] = h_out[prev:prev + hi - lo]
     return h
 
 

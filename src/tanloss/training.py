@@ -13,7 +13,10 @@ best state is kept: when updates followed the best validation, the gradient
 buffer is freed at the end and the best checkpoint is read back from
 ``ckpt_best.bin``.  Each epoch's log record is appended to
 ``train_log.jsonl`` and flushed when the epoch ends; ``train`` starts that
-log anew, ``resume`` appends to it.  Both need ``checkpoint_dir``.
+log anew, ``resume`` appends to it.  Both need ``checkpoint_dir``.  A
+non-finite gradient stops the run before its step moves any parameter, with
+a ValueError that names the epoch, the batch (counted from 1) and the
+coordinate.
 """
 
 import json
