@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Record benchmark results for one checkout in a BENCH_<n>.json file.
 
-    python scripts/bench_record.py --out BENCH_16.json [--repo DIR] [--seeds 1 2 3]
-                                   [--seconds 45]
+    python scripts/bench_record.py --out BENCH_16.json [--repo DIR]
 
 Runs ``perfbench/run.py`` of the checkout at ``--repo`` (default: this
 repository) as a subprocess, from that checkout's root, once per workload
-that its BENCHMARK.json declares, per seed and per ``--trace`` mode (0: the
-end-to-end metrics, 1: the per-layer ones), and reads the JSON object on the
-last line of each run's output.  The record of the checkout holds its git
+that its BENCHMARK.json declares, for its ``run_seconds``, per seed (1, 2
+and 3) and per ``--trace`` mode (0: the end-to-end metrics, 1: the per-layer
+ones), and reads the JSON object on the last line of each run's output.  The record of the checkout holds its git
 revision, the BLAS threads and the CPU model the runs used, the totals of
 ``scripts/count_code_lines.py``, every run's metrics, and each metric's
 median and interquartile range over the seeds.
@@ -27,6 +26,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 
 
 def last_json(stdout: str) -> dict:
@@ -36,8 +36,6 @@ def last_json(stdout: str) -> dict:
 
 def summarize(values: list[float]) -> dict:
     """Median and interquartile range (inclusive quartiles) of ``values``."""
-    if len(values) < 2:
-        return {"median": values[0], "iqr": 0.0}
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
@@ -78,13 +76,14 @@ def run_bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) 
     return last_json(proc.stdout), threads
 
 
-def record(repo: Path, seeds: list[int], seconds: float) -> dict:
+def record(repo: Path) -> dict:
     bench = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
     workloads, threads = {}, set()
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
             runs = []
-            for seed in seeds:
+            for seed in SEEDS:
                 result, blas = run_bench(repo, workload, seed, seconds, trace)
                 threads.add(blas)
                 runs.append({"seed": seed, "attempted": result["attempted"],
@@ -106,7 +105,7 @@ def record(repo: Path, seeds: list[int], seconds: float) -> dict:
         "cpu_model": cpu_model(),
         "blas_threads": sorted(threads),
         "seconds": seconds,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "code_lines": code_lines(repo),
         "workloads": workloads,
     }
@@ -117,14 +116,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to benchmark")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
-    repo = args.repo.resolve()
-    seconds = args.seconds or json.loads(
-        (repo / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
-    entry = record(repo, args.seeds, seconds)
+    entry = record(args.repo.resolve())
     data = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     data.setdefault("records", {})[entry["revision"]] = entry
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")

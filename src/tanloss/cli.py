@@ -7,9 +7,9 @@ launch (see the package's __init__).
 ``eval`` and ``predict`` load the parameters only and skip the checkpoint's
 optimizer cache.  ``predict`` reads stdin as a stream: it answers the first
 line alone as soon as it is read, then each group of up to INFERENCE_BATCH
-complete lines already read with one forward pass, printing the lines in
-input order and flushing stdout after each group.  A blank line prints every
-line before it, then fails.
+complete lines already read, with one forward pass per chunk of at most
+INFERENCE_ROWS tokens, printing the lines in input order and flushing stdout
+after each forward.  A blank line prints every line before it, then fails.
 """
 
 import argparse
@@ -26,9 +26,9 @@ import numpy as np
 
 from . import network
 from .corpus import (DataError, Sample, SyntheticConfig, generate_synthetic_corpus,
-                     ingest_jsonl, load_vocab, pad_batch, read_utf8, save_vocab, split_dataset,
-                     write_jsonl)
-from .evaluation import INFERENCE_BATCH, TOLERANCE_MODES, binarize, evaluate
+                     ingest_jsonl, load_vocab, make_batches, read_utf8, save_vocab,
+                     split_dataset, write_jsonl)
+from .evaluation import INFERENCE_BATCH, INFERENCE_ROWS, TOLERANCE_MODES, binarize, evaluate
 from .network import CheckpointError, ModelSizes, check_fingerprint, load_checkpoint
 from .training import TrainConfig, check_config, gradient_check, resume, train, vocabs_from_meta
 
@@ -272,9 +272,11 @@ def cmd_predict(args) -> int:
     for group in _line_groups(sys.stdin):
         # The lines up to the first blank one.
         sentences = list(itertools.takewhile(bool, (line.split() for line in group)))
-        if sentences:
-            batch = pad_batch([Sample([text_vocab.lookup(t) for t in tokens], no_verbs, no_states)
-                               for tokens in sentences], pad_index=text_vocab.pad_index)
+        samples = [Sample([text_vocab.lookup(t) for t in tokens], no_verbs, no_states)
+                   for tokens in sentences]
+        for batch in make_batches(samples, INFERENCE_BATCH, pad_index=text_vocab.pad_index,
+                                  max_tokens=INFERENCE_ROWS):
+            chunk, sentences = sentences[:len(batch)], sentences[len(batch):]
             # Through the module, so that a wrapper set on network.forward applies.
             verb_pred, state_pred = network.forward(ckpt.params, batch)[:2]
             verbs, states = (binarize(pred, args.threshold) for pred in (verb_pred, state_pred))
@@ -282,10 +284,10 @@ def cmd_predict(args) -> int:
                 "tokens": tokens,
                 "verbs": sorted(verb_vocab.tokens[i] for i in np.flatnonzero(verb)),
                 "states": sorted(state_vocab.tokens[i] for i in np.flatnonzero(state)),
-            }) + "\n" for tokens, verb, state in zip(sentences, verbs, states)))
+            }) + "\n" for tokens, verb, state in zip(chunk, verbs, states)))
             sys.stdout.flush()
             answered = True
-        if len(sentences) < len(group):
+        if len(samples) < len(group):
             print("error: empty input line", file=sys.stderr)
             return EXIT_FAILURE
     if not answered:

@@ -208,16 +208,23 @@ def pad_batch(chunk: list[Sample], pad_index: int) -> Batch:
 
 
 def make_batches(samples: list[Sample], batch_size: int, pad_index: int,
-                 seed: int | None = None) -> list[Batch]:
-    """Batches of ``batch_size`` samples, each padded to its maximum length:
-    in input order, or in the order of a deterministic shuffle by ``seed``."""
+                 seed: int | None = None, max_tokens: float = math.inf) -> list[Batch]:
+    """Batches of up to ``batch_size`` samples and ``max_tokens`` tokens (a
+    longer sample is a batch alone), each padded to its maximum length: in
+    input order, or in the order of a deterministic shuffle by ``seed``.
+    Each batch takes samples until the next one would break a cap."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = (np.arange(len(samples)) if seed is None
              else np.random.default_rng(seed).permutation(len(samples)))
-    batches = []
-    for start in range(0, len(samples), batch_size):
-        chunk = [samples[i] for i in order[start : start + batch_size]]
+    batches, chunk, tokens = [], [], 0
+    for sample in (samples[i] for i in order):
+        if chunk and (len(chunk) == batch_size or tokens + len(sample.tokens) > max_tokens):
+            batches.append(pad_batch(chunk, pad_index))
+            chunk, tokens = [], 0
+        chunk.append(sample)
+        tokens += len(sample.tokens)
+    if chunk:
         batches.append(pad_batch(chunk, pad_index))
     return batches
 

@@ -22,6 +22,12 @@ TOLERANCE_MODES = ("subset", "symmetric")
 # ``predict``).  Each recurrent step is one GEMM over the sentences still
 # running, and a GEMM over more rows runs faster per row.
 INFERENCE_BATCH = 128
+# Most packed rows (tokens) one inference forward runs, unless one sentence
+# alone is longer.  Its trace keeps 4 * (gru1 + gru2) float64 per packed row,
+# 79 MB for 1024 rows at paper size, whatever the sentences' length:
+# INFERENCE_BATCH sentences of up to 8 tokens fill a forward, longer ones
+# fill it with fewer sentences.
+INFERENCE_ROWS = 1024
 
 
 def binarize(pred, threshold: float = 0.5) -> np.ndarray:
@@ -68,7 +74,8 @@ def predictions(params: ModelParams, samples: list[Sample], pad_index: int,
     ``samples``: four matrices with one row per sample, in input order."""
     # [:2] drops each batch's trace before the next batch's forward runs.
     rows = [(batch.verb_labels, batch.state_labels, *forward(params, batch)[:2])
-            for batch in make_batches(samples, batch_size, pad_index=pad_index)]
+            for batch in make_batches(samples, batch_size, pad_index=pad_index,
+                                      max_tokens=INFERENCE_ROWS)]
     verb_labels, state_labels, verb_outputs, state_outputs = map(np.concatenate, zip(*rows))
     return (verb_labels, state_labels), (verb_outputs, state_outputs)
 

@@ -21,7 +21,6 @@ def test_median_and_interquartile_range():
     summary = bench_record.summarize([1.0, 2.0, 4.0, 8.0])
     assert summary["median"] == 3.0
     assert summary["iqr"] == pytest.approx(5.0 - 1.75)
-    assert bench_record.summarize([7.0]) == {"median": 7.0, "iqr": 0.0}
 
 
 def test_code_lines_are_the_counters_totals():

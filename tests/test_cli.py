@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tanloss
 from tanloss import cli, network, training
 from tanloss.corpus import DataError, ingest_jsonl, load_vocab
-from tanloss.evaluation import INFERENCE_BATCH
+from tanloss.evaluation import INFERENCE_BATCH, INFERENCE_ROWS
 
 
 def run(capsys, *argv):
@@ -505,6 +505,20 @@ class TestPredict:
             assert json.loads(alone) == json.loads(grouped[r])
             assert np.allclose(single[0][0][0], batched_verb[r], rtol=0, atol=1e-12)
             assert np.allclose(single[0][1][0], batched_state[r], rtol=0, atol=1e-12)
+
+    def test_long_lines_run_in_chunks_of_at_most_inference_rows_tokens(self, mini_run, capsys,
+                                                                       monkeypatch):
+        words = (mini_run["corpus"] / "text.vocab").read_text().split()
+        rng = np.random.default_rng(8)
+        lines = [" ".join(rng.choice(words, size=40).tolist()) for _ in range(60)]
+        code, out, _, calls = self.predict_recording(monkeypatch, capsys,
+                                                     mini_run["ckpt"] / "ckpt_best.bin",
+                                                     "\n".join(lines) + "\n")
+        assert code == 0
+        per_call = INFERENCE_ROWS // 40
+        assert [len(verb) for verb, _ in calls] == [1, per_call, per_call, 59 - 2 * per_call]
+        assert [json.loads(line)["tokens"] for line in out.splitlines()] == \
+            [line.split() for line in lines]
 
     def test_lines_come_back_in_input_order(self, mini_run, capsys, monkeypatch):
         lines = self.sentences(mini_run["corpus"], 130, seed=6)

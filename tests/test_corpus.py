@@ -224,6 +224,25 @@ class TestBatches:
         with pytest.raises(ValueError, match="batch_size"):
             make_batches(toy_samples(3), 0, seed=0, pad_index=9)
 
+    @given(st.lists(st.integers(1, 12), max_size=60), st.integers(1, 8), st.integers(1, 20),
+           st.sampled_from([None, 4]))
+    def test_batches_take_samples_until_a_cap_breaks(self, lengths, batch_size, max_tokens,
+                                                     seed):
+        samples = [Sample(tokens=[i] * n, verb_label=np.array([1.0]),
+                          state_label=np.array([1.0])) for i, n in enumerate(lengths)]
+        batches = make_batches(samples, batch_size, pad_index=99, seed=seed,
+                               max_tokens=max_tokens)
+        order = [int(row[0]) for b in batches for row in b.token_matrix]
+        assert sorted(order) == list(range(len(samples)))
+        if seed is None:
+            assert order == list(range(len(samples)))
+        sizes = [b.lengths.tolist() for b in batches]
+        for batch, after in zip(sizes, sizes[1:] + [None]):
+            assert len(batch) <= batch_size
+            assert len(batch) == 1 or sum(batch) <= max_tokens
+            if after is not None:
+                assert len(batch) == batch_size or sum(batch) + after[0] > max_tokens
+
 
 class TestSyntheticCorpus:
     def test_deterministic_in_seed(self):

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tanloss.corpus import Sample, SyntheticConfig, generate_synthetic_corpus, pad_batch
-from tanloss.evaluation import (INFERENCE_BATCH, EvalReport, binarize, evaluate,
+from tanloss import evaluation
+from tanloss.evaluation import (INFERENCE_BATCH, INFERENCE_ROWS, EvalReport, binarize, evaluate,
                                 one_missing_match, predictions)
 from tanloss.losses import batch_error
 from tanloss.network import ModelSizes, forward, init_params
@@ -238,3 +239,24 @@ class TestInferenceBatch:
                                                                        abs=1e-12)
             assert evaluate(params, samples, pad, batch_size=size).per_sample_flags \
                 == flags_alone
+
+    def test_long_sentences_run_in_chunks_of_at_most_inference_rows_tokens(self, monkeypatch):
+        samples, (text_vocab, _, _) = generate_synthetic_corpus(
+            SyntheticConfig(count=70, min_len=20, max_len=60), seed=5)
+        sizes = ModelSizes(input_dim=len(text_vocab), verb_dim=len(samples[0].verb_label),
+                           state_dim=len(samples[0].state_label), gru1_hidden=6,
+                           gru2_hidden=5, head_hidden=4)
+        params = init_params(sizes, seed=7)
+        pad = text_vocab.pad_index
+        alone = [forward(params, pad_batch([sample], pad_index=pad))[:2] for sample in samples]
+        rows, original = [], evaluation.forward
+        monkeypatch.setattr(evaluation, "forward",
+                            lambda p, batch: rows.append(int(batch.lengths.sum()))
+                            or original(p, batch))
+        _, (verb, state) = predictions(params, samples, pad)
+        assert len(rows) > 1 and max(rows) <= INFERENCE_ROWS
+        assert sum(rows) == sum(len(s.tokens) for s in samples)
+        np.testing.assert_allclose(verb, np.concatenate([v for v, _ in alone]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state, np.concatenate([s for _, s in alone]), rtol=0,
+                                   atol=1e-12)
+
