@@ -7,10 +7,11 @@ Runs ``perfbench/run.py`` of the checkout at ``--repo`` (default: this
 repository) as a subprocess, from that checkout's root, once per workload
 that its BENCHMARK.json declares, for its ``run_seconds``, per seed (1, 2
 and 3) and per ``--trace`` mode (0: the end-to-end metrics, 1: the per-layer
-ones), and reads the JSON object on the last line of each run's output.  The record of the checkout holds its git
-revision, the BLAS threads and the CPU model the runs used, the totals of
-``scripts/count_code_lines.py``, every run's metrics, and each metric's
-median and interquartile range over the seeds.
+ones), and reads the JSON object on the last line of each run's output.
+The record of the checkout holds its git revision, the BLAS threads and the
+CPU model the runs used, the totals of ``scripts/count_code_lines.py``,
+every run's metrics, and each metric's median and interquartile range over
+the seeds.
 
 The record is stored under its revision.  An existing ``--out`` file keeps
 the records of other revisions, so one file can hold a commit and its
