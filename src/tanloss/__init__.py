@@ -14,17 +14,4 @@ if os.environ.get("TANLOSS_THREADS"):
                  "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["TANLOSS_THREADS"])
 
-from .corpus import (Batch, DataError, DatasetSplit, Sample, SyntheticConfig, Vocabulary,
-                     generate_synthetic_corpus, ingest_jsonl, load_vocab, make_batches,
-                     pad_batch, save_vocab, split_dataset)
-from .evaluation import EvalReport, binarize, evaluate, one_missing_match
-from .losses import (batch_error, cross_entropy, error_epsilon, softmax_pmf, tangent_loss,
-                     tangent_loss_grad)
-from .network import (Checkpoint, CheckpointError, ForwardTrace, GruLayerParams, MlpHeadParams,
-                      ModelParams, ModelSizes, backward, forward, init_params, load_checkpoint,
-                      save_checkpoint)
-from .optim import RmsPropState, rmsprop_step
-from .training import (TrainConfig, TrainLogRecord, TrainResult, gradient_check, resume,
-                       total_loss, train, validation_error)
-
 __version__ = "0.1.0"

@@ -2,20 +2,25 @@
 
 Exit codes: 0 success, 1 runtime or check failure, 2 usage/config error,
 3 data error.  TANLOSS_THREADS caps BLAS worker threads when set before
-launch (see the package's __init__).
+launch (see the package's __init__).  The argument parser is built once per
+process; ``main`` looks each command's handler up in this module at every
+call, so a wrapper set on one applies from the next call on.
 
 ``eval`` and ``predict`` load the parameters only and skip the checkpoint's
 optimizer cache.  ``predict`` reads stdin as a stream: it answers the first
 line alone as soon as it is read, then each group of up to INFERENCE_BATCH
 complete lines already read, with one forward pass per chunk of at most
 INFERENCE_ROWS tokens, printing the lines in input order and flushing stdout
-after each forward.  A blank line prints every line before it, then fails.
+after each forward.  Each line prints as one JSON object: its tokens and the
+predicted verb and state names, each list in sorted order.  A blank line
+prints every line before it, then fails.
 """
 
 import argparse
 import codecs
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -102,7 +107,9 @@ def _coerce(key: str, value: str):
     return target(value)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="tanloss")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -151,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen_synthetic(args) -> int:
     out = Path(args.out)
-    out.mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     config = SyntheticConfig(count=args.count, text_size=args.text_vocab,
                              verb_count=args.verbs, state_count=args.states,
                              min_len=args.min_len, max_len=args.max_len)
@@ -265,9 +272,17 @@ def _line_groups(stream):
             yield lines[i:i + INFERENCE_BATCH]
 
 
+def _sorted_labels(vocab) -> tuple[list[str], list[int]]:
+    """The vocabulary's names in sorted order, and the output column of each."""
+    columns = sorted(range(len(vocab)), key=vocab.tokens.__getitem__)
+    return [vocab.tokens[i] for i in columns], columns
+
+
 def cmd_predict(args) -> int:
     ckpt, (text_vocab, verb_vocab, state_vocab) = _load_eval_ckpt(args.ckpt)
     no_verbs, no_states = np.zeros(len(verb_vocab)), np.zeros(len(state_vocab))
+    verb_names, verb_columns = _sorted_labels(verb_vocab)
+    state_names, state_columns = _sorted_labels(state_vocab)
     answered = False
     for group in _line_groups(sys.stdin):
         # The lines up to the first blank one.
@@ -279,11 +294,13 @@ def cmd_predict(args) -> int:
             chunk, sentences = sentences[:len(batch)], sentences[len(batch):]
             # Through the module, so that a wrapper set on network.forward applies.
             verb_pred, state_pred = network.forward(ckpt.params, batch)[:2]
-            verbs, states = (binarize(pred, args.threshold) for pred in (verb_pred, state_pred))
+            # Each row's flags as Python bools, in the order of the sorted names.
+            verbs = binarize(verb_pred, args.threshold)[:, verb_columns].tolist()
+            states = binarize(state_pred, args.threshold)[:, state_columns].tolist()
             sys.stdout.write("".join(json.dumps({
                 "tokens": tokens,
-                "verbs": sorted(verb_vocab.tokens[i] for i in np.flatnonzero(verb)),
-                "states": sorted(state_vocab.tokens[i] for i in np.flatnonzero(state)),
+                "verbs": list(itertools.compress(verb_names, verb)),
+                "states": list(itertools.compress(state_names, state)),
             }) + "\n" for tokens, verb, state in zip(chunk, verbs, states)))
             sys.stdout.flush()
             answered = True

@@ -55,31 +55,6 @@ def tangent_loss_grad(y, p) -> np.ndarray:
     return np.where(diff == 0.0, 0.0, SCALE * BOUNDED_COEFF * np.sign(diff) * sec2)
 
 
-def softmax_pmf(v) -> np.ndarray:
-    """Max-shifted softmax of a real vector.
-
-    Rejects non-finite input.  Components of extreme inputs can underflow to
-    0.0, but the result still sums to 1 within float tolerance.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input must be finite")
-    shifted = np.exp(v - np.max(v))
-    return shifted / np.sum(shifted)
-
-
-def cross_entropy(p, q) -> float:
-    """Cross entropy -sum_x p(x) * log2 q(x), in bits.
-
-    q must be strictly positive; p components may be zero (those terms
-    contribute nothing).
-    """
-    p, q = _check_same_shape(p, q)
-    if np.any(q <= 0.0):
-        raise ValueError("cross_entropy requires strictly positive q")
-    return float(-np.sum(p * np.log2(q)))
-
-
 def error_epsilon(y, p):
     """|H(softmax(p), softmax(y)) - H(softmax(y), softmax(y))| over the last
     axis: one value for two vectors, one per row for two matrices.

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import tanloss
 from tanloss import cli, network, training
-from tanloss.corpus import DataError, ingest_jsonl, load_vocab
+from tanloss.corpus import DataError, Vocabulary, ingest_jsonl, load_vocab
 from tanloss.evaluation import INFERENCE_BATCH, INFERENCE_ROWS
 
 
@@ -45,10 +46,18 @@ class TestGenSynthetic:
         assert (tmp_path / "z" / "samples.jsonl").read_text() == ""
         assert (tmp_path / "z" / "text.vocab").read_text().splitlines()[-1] == "PAD"
 
-    def test_unwritable_out_dir(self, capsys):
-        code, _, err = run(capsys, "gen-synthetic", "--out", "/nonexistent/dir")
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        # A directory under a regular file cannot be made, whatever the user.
+        (tmp_path / "file").write_text("")
+        code, _, err = run(capsys, "gen-synthetic", "--out", str(tmp_path / "file" / "dir"))
         assert code == 1
         assert "error" in err.lower()
+
+    def test_makes_missing_parent_directories(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        code, _, _ = run(capsys, "gen-synthetic", "--out", str(out), "--count", "5")
+        assert code == 0
+        assert len((out / "samples.jsonl").read_text().splitlines()) == 5
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +552,59 @@ class TestPredict:
             [line.split() for line in lines[:4]]
         assert [len(verb) for verb, _ in calls] == [1, 3]
 
+    label_names = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True)
+
+    @settings(max_examples=50, deadline=None)
+    @given(verb_names=label_names, state_names=label_names, n_lines=st.integers(1, 140),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(verb_names=["whisk", "Bake", '"q"', "b\\ake", "caf\u00e9", "\u2028"],
+             state_names=["zeta", "a\nb", "A", "\x00"], n_lines=130, seed=0)
+    def test_output_is_each_rows_sorted_names_as_json(self, verb_names, state_names, n_lines,
+                                                      seed):
+        # Label names out of alphabetical order or in need of JSON escapes;
+        # each line must print as json.dumps of its sorted predicted names.
+        vocabs = (Vocabulary.from_tokens(["word"], with_pad=True),
+                  Vocabulary.from_tokens(verb_names), Vocabulary.from_tokens(state_names))
+        rng = np.random.default_rng(seed)
+        rows = [rng.random((n_lines, len(vocab))) < 0.5 for vocab in vocabs[1:]]
+        served = 0
+
+        def forward(params, batch):
+            nonlocal served
+            served += len(batch)
+            return tuple(r[served - len(batch):served].astype(float) for r in rows) + (None,)
+
+        lines = [f"word {i}" for i in range(n_lines)]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+            patch.setattr(cli, "_load_eval_ckpt",
+                          lambda path: (SimpleNamespace(params=None), vocabs))
+            patch.setattr(network, "forward", forward)
+            patch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+            assert cli.main(["predict", "--ckpt", "unused"]) == 0
+        assert served == n_lines
+        assert out.getvalue() == "".join(json.dumps({
+            "tokens": line.split(),
+            "verbs": sorted(vocabs[1].tokens[i] for i in np.flatnonzero(verb)),
+            "states": sorted(vocabs[2].tokens[i] for i in np.flatnonzero(state)),
+        }) + "\n" for line, verb, state in zip(lines, *rows))
+
+    def test_names_patched_after_a_call_are_used_by_the_next(self, mini_run, monkeypatch):
+        ckpt = str(mini_run["ckpt"] / "ckpt_best.bin")
+        monkeypatch.setattr("sys.stdin", io.StringIO("bake it\n"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["predict", "--ckpt", ckpt]) == 0
+            calls = []
+            original = cli.binarize
+            monkeypatch.setattr(cli, "binarize", lambda pred, threshold: (
+                calls.append(len(pred)), original(pred, threshold))[1])
+            monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.data) or 0)
+            monkeypatch.setattr("sys.stdin", io.StringIO("bake it\nmix it\nstir\n"))
+            assert cli.main(["predict", "--ckpt", ckpt]) == 0
+            assert cli.main(["eval", "--ckpt", ckpt, "--data", "held.jsonl"]) == 0
+        # One call per head: the first line alone, then the two lines after it.
+        assert calls == [1, 1, 2, 2, "held.jsonl"]
+
     def test_line_groups_over_chunked_bytes(self):
         chunks = [b"ab", b"c\r", b"\nd\xc3", b"\xa9 e\n\rg\n", b"h\n" * (INFERENCE_BATCH + 6),
                   b"last"]
@@ -616,6 +678,17 @@ class TestParser:
     def test_help_exits_cleanly(self):
         assert cli.main(["--help"]) == 0
 
+    def test_each_call_parses_unaffected_by_the_ones_before(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: seen.append(vars(args)) or 0)
+        assert cli.main(["predict", "--ckpt", "a", "--threshold", "0.9"]) == 0
+        assert cli.main(["predict", "--ckpt", "b", "--threshold", "2"]) == 2
+        assert cli.main(["predict", "--threshold", "0.7"]) == 2
+        assert cli.main(["predict", "--ckpt", "c"]) == 0
+        assert seen == [{"command": "predict", "ckpt": "a", "threshold": 0.9},
+                        {"command": "predict", "ckpt": "c", "threshold": 0.5}]
+        assert cli._build_parser() is cli._build_parser()
+
     def test_train_flags_keep_their_names_dests_and_types(self):
         parser = cli._build_parser()
         (subcommands,) = [a for a in parser._actions if a.dest == "command"]
@@ -677,7 +750,7 @@ class Probe(importlib.abc.MetaPathFinder):
             seen.update((v, os.environ.get(v)) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
         return None
 sys.meta_path.insert(0, Probe())
-import tanloss
+import tanloss.cli
 print(json.dumps(seen))
 """
 

@@ -10,10 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanloss.losses import (BOUNDED_COEFF, SCALE, batch_error, cross_entropy, error_epsilon,
-                            softmax_pmf, tangent_loss, tangent_loss_grad)
+from tanloss.losses import (BOUNDED_COEFF, SCALE, batch_error, error_epsilon, tangent_loss,
+                            tangent_loss_grad)
 
 mp.mp.dps = 40
+
+
+def softmax_pmf(v):
+    """Max-shifted softmax of a vector: the error gap's pmf, written out as
+    a float64 oracle."""
+    shifted = np.exp(np.asarray(v, dtype=np.float64) - np.max(v))
+    return shifted / np.sum(shifted)
+
+
+def cross_entropy(p, q):
+    """Cross entropy -sum_x p(x) * log2 q(x), in bits, for a strictly
+    positive q."""
+    return float(-np.sum(np.asarray(p) * np.log2(q)))
 
 
 def mp_tangent_loss(y, p):
@@ -130,6 +143,8 @@ class TestTangentLossGrad:
 
 
 class TestSoftmaxPmf:
+    """The oracle against closed forms."""
+
     def test_symmetry(self):
         assert softmax_pmf([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
@@ -142,10 +157,6 @@ class TestSoftmaxPmf:
         assert np.all(np.isfinite(probs))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            softmax_pmf([np.inf, 0.0])
-
     @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=16))
     def test_is_a_pmf(self, values):
         probs = softmax_pmf(values)
@@ -154,6 +165,8 @@ class TestSoftmaxPmf:
 
 
 class TestCrossEntropy:
+    """The oracle against closed forms."""
+
     def test_uniform_self_entropy_is_one_bit(self):
         assert cross_entropy([0.5, 0.5], [0.5, 0.5]) == pytest.approx(1.0)
 
@@ -165,14 +178,6 @@ class TestCrossEntropy:
         e = mp.e / (1 + mp.e)
         expected = float(-(e * mp.log(e, 2) + (1 - e) * mp.log(1 - e, 2)))  # ~0.8399
         assert cross_entropy(q, q) == pytest.approx(expected, rel=1e-12)
-
-    def test_rejects_nonpositive_q(self):
-        with pytest.raises(ValueError, match="positive"):
-            cross_entropy([0.5, 0.5], [1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cross_entropy([1.0], [0.5, 0.5])
 
 
 class TestErrorEpsilon:
