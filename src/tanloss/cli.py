@@ -157,12 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_synthetic(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = SyntheticConfig(count=args.count, text_size=args.text_vocab,
                              verb_count=args.verbs, state_count=args.states,
                              min_len=args.min_len, max_len=args.max_len)
     samples, (text_vocab, verb_vocab, state_vocab) = generate_synthetic_corpus(config, args.seed)
+    # Only after the settings proved valid, so that a rejected call makes no directory.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_jsonl(samples, out / "samples.jsonl", text_vocab, verb_vocab, state_vocab)
     save_vocab(text_vocab, out / "text.vocab")
     save_vocab(verb_vocab, out / "verb.vocab")

@@ -59,6 +59,13 @@ class TestGenSynthetic:
         assert code == 0
         assert len((out / "samples.jsonl").read_text().splitlines()) == 5
 
+    def test_rejected_settings_make_no_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen-synthetic", "--out", str(tmp_path / "a" / "b"),
+                           "--min-len", "0")
+        assert code == 1
+        assert "min_len" in err
+        assert not (tmp_path / "a").exists()
+
 
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
@@ -596,8 +603,12 @@ class TestPredict:
             assert cli.main(["predict", "--ckpt", ckpt]) == 0
             calls = []
             original = cli.binarize
-            monkeypatch.setattr(cli, "binarize", lambda pred, threshold: (
-                calls.append(len(pred)), original(pred, threshold))[1])
+
+            def counting(pred, threshold):
+                calls.append(len(pred))
+                return original(pred, threshold)
+
+            monkeypatch.setattr(cli, "binarize", counting)
             monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args.data) or 0)
             monkeypatch.setattr("sys.stdin", io.StringIO("bake it\nmix it\nstir\n"))
             assert cli.main(["predict", "--ckpt", ckpt]) == 0
