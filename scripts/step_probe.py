@@ -2,16 +2,15 @@
 """Time one training step per phase, for several text vocabulary sizes, on
 one BLAS thread.
 
-    python scripts/step_probe.py [--vocab 62,2000,8000] [--sizes 1600,800,500]
-                                 [--rows 32] [--repeats 5] [--seed 0]
+    python scripts/step_probe.py
 
-For each text vocabulary size V the probe builds a model at the given GRU
-and head sizes (``gru1,gru2,head``; 8 verbs, 6 states), draws one batch of
-``--rows`` sentences of 4 to 8 tokens, and runs ``--repeats`` training steps
-on it: ``forward``, ``backward`` of the batch-mean tangent loss, and
+For each text vocabulary size V in ``VOCABS`` the probe builds a model at
+the paper's sizes (GRU 1600/800, heads of 500; 8 verbs, 6 states), draws one
+batch of ``ROWS`` sentences of 4 to 8 tokens, and runs ``REPEATS`` training
+steps on it: ``forward``, ``backward`` of the batch-mean tangent loss, and
 ``rmsprop_step``.  Each phase is reported at its fastest repeat, and the step
-at its fastest whole repeat.  The defaults are the paper's sizes; at V = 8000
-the parameters, gradients and optimizer cache take about 1.3 GB.
+at its fastest whole repeat.  At V = 8000 the parameters, gradients and
+optimizer cache take about 1.3 GB.
 
 Prints one JSON line: the BLAS threads, the sizes, and per V the parameter
 count, the size of ``gru1.W`` and the seconds of each phase.  The BLAS
@@ -23,7 +22,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse
 import json
 import sys
 import time
@@ -39,10 +37,9 @@ from tanloss.network import ModelSizes, backward, forward, init_params
 from tanloss.optim import RmsPropState, rmsprop_step
 
 VERBS, STATES = 8, 6
-
-
-def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+VOCABS = [62, 2000, 8000]
+SIZES = [1600, 800, 500]  # gru1, gru2, head
+ROWS, REPEATS, SEED = 32, 5, 0
 
 
 def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> dict:
@@ -80,21 +77,10 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
             **{key: min(values) for key, values in times.items()}, "step_s": min(steps)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--vocab", type=_ints, default=[62, 2000, 8000],
-                        help="text vocabulary sizes, comma-separated")
-    parser.add_argument("--sizes", type=_ints, default=[1600, 800, 500], help="gru1,gru2,head")
-    parser.add_argument("--rows", type=int, default=32, help="sentences in the batch")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if len(args.sizes) != 3 or min(args.vocab) < 2 or args.rows < 1 or args.repeats < 1:
-        parser.error("need three --sizes, every --vocab >= 2, --rows >= 1, --repeats >= 1")
-    results = [probe(v, args.sizes, args.rows, args.repeats, args.seed) for v in args.vocab]
-    print(json.dumps({"blas_threads": 1, "sizes": args.sizes, "rows": args.rows,
-                      "repeats": args.repeats, "results": results}))
+def main() -> int:
+    results = [probe(v, SIZES, ROWS, REPEATS, SEED) for v in VOCABS]
+    print(json.dumps({"blas_threads": 1, "sizes": SIZES, "rows": ROWS,
+                      "repeats": REPEATS, "results": results}))
     return 0
 
 

@@ -1,32 +1,45 @@
+import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
+
+import pytest
 
 from tanloss.network import ModelParams, ModelSizes
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "step_probe.py"
 
 
-def test_prints_one_json_line_of_phase_times_per_vocabulary():
-    out = subprocess.run([sys.executable, str(SCRIPT), "--vocab", "5,9", "--sizes", "6,4,3",
-                          "--rows", "3", "--repeats", "2"],
-                         capture_output=True, text=True, check=True).stdout
-    (line,) = out.splitlines()
-    record = json.loads(line)
-    assert (record["blas_threads"], record["sizes"], record["rows"]) == (1, [6, 4, 3], 3)
-    assert [r["vocab"] for r in record["results"]] == [5, 9]
-    for r in record["results"]:
-        sizes = ModelSizes(input_dim=r["vocab"], verb_dim=8, state_dim=6, gru1_hidden=6,
+@pytest.fixture
+def step_probe(monkeypatch):
+    # Loading the script pins the BLAS variables to one thread; restore them after.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("step_probe", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_times_each_phase_at_the_given_sizes(step_probe):
+    for vocab in (5, 9):
+        r = step_probe.probe(vocab, [6, 4, 3], 3, 2, 0)
+        sizes = ModelSizes(input_dim=vocab, verb_dim=8, state_dim=6, gru1_hidden=6,
                            gru2_hidden=4, head_hidden=3)
+        assert r["vocab"] == vocab
         assert r["parameters"] == ModelParams.new(sizes).data.size
-        assert r["gru1_W"] == 3 * 6 * r["vocab"]
+        assert r["gru1_W"] == 3 * 6 * vocab
         phases = [r["forward_s"], r["backward_s"], r["rmsprop_step_s"]]
         assert min(phases) > 0
         assert r["step_s"] >= sum(phases) * (1 - 1e-9)
 
 
-def test_rejects_bad_sizes():
-    result = subprocess.run([sys.executable, str(SCRIPT), "--sizes", "6,4"],
-                            capture_output=True, text=True)
-    assert result.returncode == 2
+def test_main_prints_one_json_line_per_run(step_probe, monkeypatch, capsys):
+    monkeypatch.setattr(step_probe, "VOCABS", [5, 9])
+    monkeypatch.setattr(step_probe, "SIZES", [6, 4, 3])
+    monkeypatch.setattr(step_probe, "ROWS", 3)
+    monkeypatch.setattr(step_probe, "REPEATS", 2)
+    assert step_probe.main() == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    record = json.loads(line)
+    assert (record["blas_threads"], record["sizes"], record["rows"]) == (1, [6, 4, 3], 3)
+    assert [r["vocab"] for r in record["results"]] == [5, 9]
