@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time one training step per phase, for several text vocabulary sizes, on
-one BLAS thread.
+"""Time one training step per phase, for several text vocabulary sizes, and
+the recurrent products of the forward pass, on one BLAS thread.
 
     python scripts/step_probe.py
 
@@ -12,9 +12,16 @@ steps on it: ``forward``, ``backward`` of the batch-mean tangent loss, and
 at its fastest whole repeat.  At V = 8000 the parameters, gradients and
 optimizer cache take about 1.3 GB.
 
-Prints one JSON line: the BLAS threads, the sizes, and per V the parameter
-count, the size of ``gru1.W`` and the seconds of each phase.  The BLAS
-variables are set to one thread before numpy is imported, whatever they were.
+It then times each recurrent weight block of a GRU layer at those sizes
+(``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
+800 x 800) times the transpose of an h of each row count in
+``PRODUCT_ROWS``, as one product ``h @ M.T`` and through the forward pass's
+``_few_row_product``, best of ``REPEATS`` each.
+
+Prints one JSON line: the BLAS threads, the sizes, per V the parameter
+count, the size of ``gru1.W`` and the seconds of each phase, and per block
+and row count the seconds of both products.  The BLAS variables are set to
+one thread before numpy is imported, whatever they were.
 """
 
 import os
@@ -33,13 +40,14 @@ import numpy as np
 
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
-from tanloss.network import ModelSizes, backward, forward, init_params
+from tanloss.network import ModelSizes, _few_row_product, backward, forward, init_params
 from tanloss.optim import RmsPropState, rmsprop_step
 
 VERBS, STATES = 8, 6
 VOCABS = [62, 2000, 8000]
 SIZES = [1600, 800, 500]  # gru1, gru2, head
 ROWS, REPEATS, SEED = 32, 5, 0
+PRODUCT_ROWS = [1, 2, 4, 7, 8, 16, 24, 32, 128]
 
 
 def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> dict:
@@ -77,10 +85,37 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
             **{key: min(values) for key, values in times.items()}, "step_s": min(steps)}
 
 
+def best_of(repeats: int, call) -> float:
+    """The fastest of ``repeats`` timed calls, in seconds."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def products(sizes: list[int], row_counts: list[int], repeats: int, seed: int) -> list[dict]:
+    """Best-of-``repeats`` seconds of ``h @ M.T`` for each recurrent block M
+    of both GRU layers and each row count of h, as one product and through
+    ``_few_row_product``."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for n in sizes[:2]:
+        for M in (rng.standard_normal((2 * n, n)), rng.standard_normal((n, n))):
+            for k in row_counts:
+                h = rng.standard_normal((k, n))
+                results.append({"block": list(M.shape), "rows": k,
+                                "plain_s": best_of(repeats, lambda: h @ M.T),
+                                "panels_s": best_of(repeats, lambda: _few_row_product(h, M))})
+    return results
+
+
 def main() -> int:
     results = [probe(v, SIZES, ROWS, REPEATS, SEED) for v in VOCABS]
     print(json.dumps({"blas_threads": 1, "sizes": SIZES, "rows": ROWS,
-                      "repeats": REPEATS, "results": results}))
+                      "repeats": REPEATS, "results": results,
+                      "products": products(SIZES, PRODUCT_ROWS, REPEATS, SEED)}))
     return 0
 
 

@@ -160,7 +160,11 @@ def cmd_gen_synthetic(args) -> int:
     config = SyntheticConfig(count=args.count, text_size=args.text_vocab,
                              verb_count=args.verbs, state_count=args.states,
                              min_len=args.min_len, max_len=args.max_len)
-    samples, (text_vocab, verb_vocab, state_vocab) = generate_synthetic_corpus(config, args.seed)
+    try:
+        samples, vocabs = generate_synthetic_corpus(config, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    text_vocab, verb_vocab, state_vocab = vocabs
     # Only after the settings proved valid, so that a rejected call makes no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -315,6 +319,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if min(args.sizes) < 1:
+        raise ConfigError(f"--sizes must all be at least 1, got {args.sizes}")
     vocab, gru1, gru2, head, labels = args.sizes
     sizes = ModelSizes(input_dim=vocab, verb_dim=labels, state_dim=labels,
                        gru1_hidden=gru1, gru2_hidden=gru2, head_hidden=head)

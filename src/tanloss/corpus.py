@@ -288,6 +288,8 @@ def generate_synthetic_corpus(config: SyntheticConfig, seed: int):
     fillers; triggers sit at text indices [0, verb_count) and verb i sits at
     verb-vocab index i.
     """
+    if config.count < 0:
+        raise ValueError(f"count must be at least 0, got {config.count}")
     if config.verb_count < 1:
         raise ValueError("need at least one verb")
     if config.state_count < 2:

@@ -44,6 +44,15 @@ Conventions fixed here and relied on by the test suite:
     sweep, the first three in the deltas buffer itself, so a step is a few
     elementwise calls and its two GEMMs; step 0, which starts from the zero
     state, needs neither GEMM.
+  * A forward product h @ M.T whose h has 2 to PANEL_MAX_ROWS rows (the
+    recurrent products of the last steps, or layer 2's input projection of
+    a short sentence) runs one row panel of M at a time when one GEMM would
+    be too large for OpenBLAS's small-matrix kernel (m*n*k above 10**6):
+    each panel then stays under that kernel's bounds, so M is read once at
+    the GEMV rate instead of being packed by a GEMM, about twice as fast at
+    2 to 8 rows.  A split product differs from one GEMM in the last bits;
+    whether it splits depends on the step's row count alone, so padding
+    still cannot change a bit.  Backward's products keep one GEMM each.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
     deltas with a one-hot matrix over the tokens present in the batch, so
@@ -274,6 +283,35 @@ class ForwardTrace:
     state_head: tuple
 
 
+# OpenBLAS (0.3.31 on an AVX-512 Xeon) computes an (m x p) @ (p x n) product
+# of two row-major operands with its small-matrix kernel, which reads them
+# where they lie instead of packing them first, while m*n*p <= SMALL_GEMM_MNK.
+# One row more makes a product 2.5-3x slower.
+SMALL_GEMM_MNK = 10**6
+# Up to this many rows of h the panels beat one GEMM on the paper-size
+# recurrent blocks; from about 24 rows on one GEMM is as fast or faster.
+PANEL_MAX_ROWS = 16
+
+
+def _few_row_product(h: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """h @ M.T.  When h has 2 to PANEL_MAX_ROWS rows and the product exceeds
+    SMALL_GEMM_MNK, it is formed as M @ h.T one row panel of M at a time,
+    each panel within that bound, and the transpose of the result is
+    returned; otherwise it is one GEMM (a GEMV for one row), bit for bit
+    ``h @ M.T``."""
+    k, width = h.shape
+    if not 2 <= k <= PANEL_MAX_ROWS or k * width * len(M) <= SMALL_GEMM_MNK:
+        return h @ M.T
+    # A row-major copy: with the view h.T, OpenBLAS takes its transposed
+    # small kernel, which is slower from 5 rows on and also needs m*n <= 1200.
+    hT = np.ascontiguousarray(h.T)
+    out = np.empty((len(M), k))
+    panel = max(1, SMALL_GEMM_MNK // (k * width))
+    for lo in range(0, len(M), panel):
+        np.matmul(M[lo:lo + panel], hT, out=out[lo:lo + panel])
+    return out.T
+
+
 def _layer_forward(layer: GruLayerParams, project, blocks: list) -> LayerTrace:
     """Run one layer over every packed step; ``project(W)`` is the input
     projection of every packed row by a row block ``W`` of the layer's W."""
@@ -291,10 +329,10 @@ def _layer_forward(layer: GruLayerParams, project, blocks: list) -> LayerTrace:
         # Step 0 starts from the zero state, whose recurrent products vanish.
         h = lt.h_out[blocks[t - 1][0]:][:hi - lo] if t else np.zeros((hi - lo, n))
         if t:
-            z_r += h @ U[:2 * n].T
+            z_r += _few_row_product(h, U[:2 * n])
         _sigmoid(z_r, out=z_r)
         if t:
-            c += np.multiply(z_r[:, n:], h, out=rh[:hi - lo]) @ U[2 * n:].T
+            c += _few_row_product(np.multiply(z_r[:, n:], h, out=rh[:hi - lo]), U[2 * n:])
         np.tanh(c, out=c)
         # h' = h + z * (hc - h)
         np.subtract(c, h, out=h_out)
@@ -342,7 +380,8 @@ def forward(params: ModelParams, batch):
 
     # One-hot input: the projection of token j is column j of W.
     l1 = _layer_forward(g1, lambda W: W.T[packed], blocks)
-    l2 = _layer_forward(g2, lambda W: l1.h_out @ W.T, blocks)
+    l2 = _layer_forward(g2, lambda W: np.ascontiguousarray(_few_row_product(l1.h_out, W)),
+                        blocks)
 
     h_final = np.empty((B, g2.U.shape[1]))
     h_final[order] = l2.h_out[starts[sorted_lengths - 1] + np.arange(B)]

@@ -62,8 +62,18 @@ class TestGenSynthetic:
     def test_rejected_settings_make_no_directory(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen-synthetic", "--out", str(tmp_path / "a" / "b"),
                            "--min-len", "0")
-        assert code == 1
-        assert "min_len" in err
+        assert code == 2
+        assert err.startswith("config error:") and "min_len" in err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("flags", [["--min-len", "5", "--max-len", "2"],
+                                       ["--text-vocab", "0"], ["--verbs", "0"],
+                                       ["--states", "1"], ["--count", "-5"]],
+                             ids=lambda flags: " ".join(flags))
+    def test_out_of_range_settings_are_usage_errors(self, tmp_path, capsys, flags):
+        code, _, err = run(capsys, "gen-synthetic", "--out", str(tmp_path / "a"), *flags)
+        assert code == 2
+        assert err.startswith("config error:")
         assert not (tmp_path / "a").exists()
 
 
@@ -677,6 +687,11 @@ class TestGradcheck:
 
     def test_bad_sizes_flag(self, capsys):
         assert cli.main(["gradcheck", "--sizes", "1,2"]) == 2
+
+    def test_size_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "gradcheck", "--sizes", "0,1,1,1,1")
+        assert code == 2
+        assert err.startswith("config error:") and out == ""
 
 
 class TestParser:

@@ -293,6 +293,89 @@ class TestForward:
             forward(params, batch)
 
 
+# Sizes at which the panels engage in both layers: layer 1's recurrent
+# products from 4 running rows, layer 2's from 3, and layer 2's input
+# projection of 3 to PANEL_MAX_ROWS packed rows.
+SPLIT = ModelSizes(input_dim=12, verb_dim=4, state_dim=3, gru1_hidden=300, gru2_hidden=400,
+                   head_hidden=20)
+
+
+@pytest.fixture
+def panel_calls(monkeypatch):
+    """The shape of h.T, (width, rows of h), in every panel product, as
+    np.matmul sees it: plain products go through the ``@`` operator."""
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        calls.append(b.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+class TestFewRowProduct:
+    @pytest.mark.parametrize("shape", [(900, 300), (1200, 400), (2400, 800)])
+    def test_matches_one_product(self, shape, panel_calls):
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal(shape)
+        rows, width = shape
+        for k in range(1, 21):
+            h = rng.standard_normal((k, width))
+            want = h @ M.T
+            panel_calls.clear()
+            got = network._few_row_product(h, M)
+            assert got.shape == want.shape
+            if 2 <= k <= network.PANEL_MAX_ROWS and k * width * rows > network.SMALL_GEMM_MNK:
+                panel = network.SMALL_GEMM_MNK // (k * width)
+                assert panel_calls == [(width, k)] * -(-rows // panel), k
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
+            else:
+                assert panel_calls == [], k
+                assert np.array_equal(got, want), k
+
+    def test_forward_splits_in_both_layers(self, panel_calls):
+        params = init_params(SPLIT, seed=3)
+        forward(params, make_batch(SPLIT, range(1, 21), seed=2))
+        widths = {width for width, _ in panel_calls}
+        assert widths == {SPLIT.gru1_hidden, SPLIT.gru2_hidden}
+        # One sentence: only layer 2's input projection has several rows.
+        panel_calls.clear()
+        forward(params, make_batch(SPLIT, [6], seed=2))
+        assert set(panel_calls) == {(SPLIT.gru1_hidden, 6)}
+
+    def test_padding_invariance_bit_exact_where_products_split(self):
+        params = init_params(SPLIT, seed=3)
+        results = []
+        for width in (None, 26):
+            batch = make_batch(SPLIT, range(1, 21), seed=2, width=width)
+            verb, state, trace = forward(params, batch)
+            results.append((verb, state, backward(
+                params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                tangent_loss_grad(batch.state_labels, state))))
+        (v1, s1, g1), (v2, s2, g2) = results
+        assert np.array_equal(v1, v2) and np.array_equal(s1, s2)
+        for name in g1:
+            assert np.array_equal(g1[name], g2[name]), name
+
+    def test_finite_differences_where_products_split(self):
+        assert gradient_check(SPLIT, seed=1, n_coords=40, lengths=tuple(range(1, 21))) < 1e-4
+
+    def test_toy_forward_is_bit_identical_to_plain_products(self, monkeypatch):
+        sizes = ModelSizes(input_dim=62, verb_dim=8, state_dim=6, gru1_hidden=64,
+                           gru2_hidden=32, head_hidden=32)
+        params = init_params(sizes, seed=5)
+        batch = make_batch(sizes, [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 20] * 11, seed=4)
+        verb, state, trace = forward(params, batch)
+        monkeypatch.setattr(network, "_few_row_product", lambda h, M: h @ M.T)
+        plain_verb, plain_state, plain_trace = forward(params, batch)
+        assert np.array_equal(verb, plain_verb) and np.array_equal(state, plain_state)
+        for layer, plain in ((trace.gru1, plain_trace.gru1), (trace.gru2, plain_trace.gru2)):
+            for got, want in ((layer.zr, plain.zr), (layer.hc, plain.hc),
+                              (layer.h_out, plain.h_out)):
+                assert np.array_equal(got, want)
+
+
 class TestBackward:
     def test_zero_output_grads_give_zero_param_grads(self):
         params = init_params(TOY, seed=1)

@@ -97,6 +97,26 @@ def test_program_agrees_with_the_reference(tmp_path_factory, case):
                                   set(np.flatnonzero(sample.state_label).tolist())))
 
 
+def test_program_agrees_with_the_reference_where_products_split(tmp_path):
+    # At GRU 300/400, sentences of lengths 1-20 take every running-row count
+    # and so put both layers' recurrent products of 3-16 rows through panels,
+    # and a lone 6-token sentence does so for layer 2's input projection
+    # (``network._few_row_product``).
+    sizes = ModelSizes(input_dim=12, verb_dim=4, state_dim=3, gru1_hidden=300,
+                       gru2_hidden=400, head_hidden=20)
+    params = init_params(sizes, seed=3)
+    rng = np.random.default_rng(5)
+    samples = [Sample(tokens=rng.integers(0, sizes.input_dim, size=n).tolist(),
+                      verb_label=np.zeros(sizes.verb_dim), state_label=np.zeros(sizes.state_dim))
+               for n in range(1, 21)]
+    text_vocab = [f"t{i}" for i in range(sizes.input_dim)]
+    for group in (samples, samples[5:6]):
+        ref_verb, ref_state = reference_outputs(params, group, text_vocab, tmp_path / "m.bin")
+        verb, state, _ = forward(params, pad_batch(group, pad_index=0))
+        np.testing.assert_allclose(verb, ref_verb, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(state, ref_state, rtol=1e-9, atol=1e-12)
+
+
 # Step of the complex-step derivative.
 H = 1e-30
 

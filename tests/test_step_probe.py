@@ -33,13 +33,23 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
         assert r["step_s"] >= sum(phases) * (1 - 1e-9)
 
 
+def test_products_time_each_recurrent_block_and_row_count(step_probe):
+    results = step_probe.products([6, 4, 3], [1, 2, 5], 2, 0)
+    assert [(r["block"], r["rows"]) for r in results] == [
+        (block, k) for block in ([12, 6], [6, 6], [8, 4], [4, 4]) for k in (1, 2, 5)]
+    assert min(min(r["plain_s"], r["panels_s"]) for r in results) > 0
+
+
 def test_main_prints_one_json_line_per_run(step_probe, monkeypatch, capsys):
     monkeypatch.setattr(step_probe, "VOCABS", [5, 9])
     monkeypatch.setattr(step_probe, "SIZES", [6, 4, 3])
     monkeypatch.setattr(step_probe, "ROWS", 3)
     monkeypatch.setattr(step_probe, "REPEATS", 2)
+    monkeypatch.setattr(step_probe, "PRODUCT_ROWS", [1, 3])
     assert step_probe.main() == 0
     (line,) = capsys.readouterr().out.splitlines()
     record = json.loads(line)
     assert (record["blas_threads"], record["sizes"], record["rows"]) == (1, [6, 4, 3], 3)
     assert [r["vocab"] for r in record["results"]] == [5, 9]
+    assert [(r["block"], r["rows"]) for r in record["products"]] == [
+        (block, k) for block in ([12, 6], [6, 6], [8, 4], [4, 4]) for k in (1, 3)]
