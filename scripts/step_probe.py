@@ -12,11 +12,10 @@ steps on it: ``forward``, ``backward`` of the batch-mean tangent loss, and
 at its fastest whole repeat.  At V = 8000 the parameters, gradients and
 optimizer cache take about 1.3 GB.
 
-It then times each recurrent weight block of a GRU layer at those sizes
-(``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
-800 x 800) times the transpose of an h of each row count in
-``PRODUCT_ROWS``, as one product ``h @ M.T`` and through the forward pass's
-``_few_row_product``, best of ``REPEATS`` each.
+It then times ``h @ M.T`` for each recurrent weight block M of the two GRU
+layers (``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
+800 x 800) and each row count of h in ``PRODUCT_ROWS``, as one product and
+through the forward pass's ``_few_row_product``, best of ``REPEATS`` each.
 
 Prints one JSON line: the BLAS threads, the sizes, per V the parameter
 count, the size of ``gru1.W`` and the seconds of each phase, and per block

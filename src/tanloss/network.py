@@ -45,14 +45,15 @@ Conventions fixed here and relied on by the test suite:
     elementwise calls and its two GEMMs; step 0, which starts from the zero
     state, needs neither GEMM.
   * A forward product h @ M.T whose h has 2 to PANEL_MAX_ROWS rows (the
-    recurrent products of the last steps, or layer 2's input projection of
-    a short sentence) runs one row panel of M at a time when one GEMM would
-    be too large for OpenBLAS's small-matrix kernel (m*n*k above 10**6):
-    each panel then stays under that kernel's bounds, so M is read once at
-    the GEMV rate instead of being packed by a GEMM, about twice as fast at
-    2 to 8 rows.  A split product differs from one GEMM in the last bits;
-    whether it splits depends on the step's row count alone, so padding
-    still cannot change a bit.  Backward's products keep one GEMM each.
+    recurrent products of a step with few running rows, or layer 2's
+    input projection of a short sentence) is formed as M @ h.T, one row
+    panel of M at a time, when it has more than SMALL_GEMM_MNK
+    multiply-adds.  Each panel then fits OpenBLAS's small-matrix kernel,
+    which reads M where it lies, where one GEMM would first pack all of
+    M: 1.6-2.2x faster on the paper-size blocks (scripts/step_probe.py).
+    A split product differs from one GEMM in the last bits; whether it
+    splits depends only on the sizes and the step's row count, so padding
+    still cannot change a bit.  Backward's products stay one GEMM each.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
     deltas with a one-hot matrix over the tokens present in the batch, so
@@ -286,7 +287,7 @@ class ForwardTrace:
 # OpenBLAS (0.3.31 on an AVX-512 Xeon) computes an (m x p) @ (p x n) product
 # of two row-major operands with its small-matrix kernel, which reads them
 # where they lie instead of packing them first, while m*n*p <= SMALL_GEMM_MNK.
-# One row more makes a product 2.5-3x slower.
+# One row more makes a product 2-3x slower.
 SMALL_GEMM_MNK = 10**6
 # Up to this many rows of h the panels beat one GEMM on the paper-size
 # recurrent blocks; from about 24 rows on one GEMM is as fast or faster.

@@ -340,9 +340,11 @@ class TestFewRowProduct:
         widths = {width for width, _ in panel_calls}
         assert widths == {SPLIT.gru1_hidden, SPLIT.gru2_hidden}
         # One sentence: only layer 2's input projection has several rows.
+        # Its result is the trace, whose step rows must stay contiguous.
         panel_calls.clear()
-        forward(params, make_batch(SPLIT, [6], seed=2))
+        trace = forward(params, make_batch(SPLIT, [6], seed=2))[2]
         assert set(panel_calls) == {(SPLIT.gru1_hidden, 6)}
+        assert trace.gru2.zr.flags.c_contiguous and trace.gru2.hc.flags.c_contiguous
 
     def test_padding_invariance_bit_exact_where_products_split(self):
         params = init_params(SPLIT, seed=3)
