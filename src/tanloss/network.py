@@ -381,6 +381,7 @@ def forward(params: ModelParams, batch):
 
     # One-hot input: the projection of token j is column j of W.
     l1 = _layer_forward(g1, lambda W: W.T[packed], blocks)
+    # Contiguous, as the trace keeps each step's rows in one block.
     l2 = _layer_forward(g2, lambda W: np.ascontiguousarray(_few_row_product(l1.h_out, W)),
                         blocks)
 
