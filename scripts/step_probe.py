@@ -7,10 +7,11 @@ the recurrent products of the forward pass, on one BLAS thread.
 For each text vocabulary size V in ``VOCABS`` the probe builds a model at
 the paper's sizes (GRU 1600/800, heads of 500; 8 verbs, 6 states), draws one
 batch of ``ROWS`` sentences of 4 to 8 tokens, and runs ``REPEATS`` training
-steps on it: ``forward``, ``backward`` of the batch-mean tangent loss, and
-``rmsprop_step``.  Each phase is reported at its fastest repeat, and the step
-at its fastest whole repeat.  At V = 8000 the parameters, gradients and
-optimizer cache take about 1.3 GB.
+steps on it, as the trainer runs them: ``forward``, ``backward`` of the
+batch-mean tangent loss, and ``rmsprop_step`` on the gradient ``backward``
+returns.  Each phase is reported at its fastest repeat, and the step at its
+fastest whole repeat.  At V = 8000 the parameters and optimizer cache take
+843 MB, and the gradient about 330 MB more.
 
 It then times ``h @ M.T`` for each recurrent weight block M of the two GRU
 layers (``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
@@ -18,8 +19,9 @@ layers (``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
 through the forward pass's ``_few_row_product``, best of ``REPEATS`` each.
 
 Prints one JSON line: the BLAS threads, the sizes, per V the parameter
-count, the size of ``gru1.W`` and the seconds of each phase, and per block
-and row count the seconds of both products.  The BLAS variables are set to
+count, the size of ``gru1.W``, the bytes the gradient holds (its dense
+buffer and the arrays its factors lie in) and the seconds of each phase,
+and per block and row count the seconds of both products.  The BLAS variables are set to
 one thread before numpy is imported, whatever they were.
 """
 
@@ -57,7 +59,6 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
                        gru1_hidden=gru1, gru2_hidden=gru2, head_hidden=head)
     params = init_params(model, seed)
     opt = RmsPropState.fresh(params)
-    grads = params.like(np.empty_like(params.data))
     rng = np.random.default_rng(seed)
     # The last index is the padding token, as in a text vocabulary.
     batch = pad_batch([Sample(rng.integers(0, vocab - 1, size=rng.integers(4, 9)).tolist(),
@@ -69,19 +70,29 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
         t0 = time.perf_counter()
         verb_pred, state_pred, trace = forward(params, batch)
         t1 = time.perf_counter()
-        backward(params, batch, trace,
-                 tangent_loss_grad(batch.verb_labels, verb_pred) / rows,
-                 tangent_loss_grad(batch.state_labels, state_pred) / rows, out=grads)
+        grads = backward(params, batch, trace,
+                         tangent_loss_grad(batch.verb_labels, verb_pred) / rows,
+                         tangent_loss_grad(batch.state_labels, state_pred) / rows)
         t2 = time.perf_counter()
         del trace
-        rmsprop_step(params, grads.data, opt)
+        rmsprop_step(params, grads, opt)
         t3 = time.perf_counter()
+        held = gradient_bytes(grads)
+        del grads
         for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
             times[key].append(seconds)
     steps = [sum(phases) for phases in zip(*times.values())]
     return {"vocab": vocab, "parameters": int(params.data.size),
-            "gru1_W": int(params.gru1.W.size),
+            "gru1_W": int(params.gru1.W.size), "gradient_bytes": held,
             **{key: min(values) for key, values in times.items()}, "step_s": min(steps)}
+
+
+def gradient_bytes(grads) -> int:
+    """Bytes of the arrays a gradient from ``backward`` holds: its dense
+    buffer and, once each, the arrays its factors are views of."""
+    arrays = [grads.dense] + [f for p in grads.products for f in (p.a, p.b)]
+    owners = {id(o): o for o in (a if a.base is None else a.base for a in arrays)}
+    return sum(o.nbytes for o in owners.values())
 
 
 def best_of(repeats: int, call) -> float:

@@ -13,9 +13,11 @@ Conventions fixed here and relied on by the test suite:
     U, b, verb head, state head.  The fused arrays are slices of it, so the
     per-gate arrays tile it in the order the checkpoint stores them.  A
     ``ModelParams`` is only ever built as this layout over a buffer, never
-    packed from separate arrays.  ``backward`` writes every gradient into a
-    second buffer with the same layout, and the RMSProp cache is a third,
-    so an optimizer step is a pass over three buffers.
+    packed from separate arrays.  The RMSProp cache is a second buffer with
+    that layout.  The gradient is not a third: ``backward`` returns the
+    gru1.U, gru2.W and gru2.U gradients as the factor pairs whose products
+    they are (``Gradients``), the rest in one small dense buffer, and the
+    optimizer forms the products a chunk at a time.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
   * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
@@ -27,8 +29,8 @@ Conventions fixed here and relied on by the test suite:
     k_t running rows of each step, sum(lengths) rows in all): layer 1 runs
     over every step, then layer 2's input projections for all steps are two
     GEMMs (z and r, then hc).  Backward sweeps layer 2, turns its gate deltas into layer 1's
-    input gradient with one GEMM, sweeps layer 1, and forms each weight
-    gradient after its sweep as one GEMM over all packed steps.
+    input gradient with one GEMM, sweeps layer 1, and leaves each large
+    weight gradient as the factors of one product over all packed steps.
   * A layer's trace holds z and r in one array, hc in another and h' in a
     third: 4n values per packed row, so the rows of a step are one
     contiguous block of each and the step's numpy calls run on contiguous
@@ -51,9 +53,11 @@ Conventions fixed here and relied on by the test suite:
     multiply-adds.  Each panel then fits OpenBLAS's small-matrix kernel,
     which reads M where it lies, where one GEMM would first pack all of
     M: 1.6-2.2x faster on the paper-size blocks (scripts/step_probe.py).
-    A split product differs from one GEMM in the last bits; whether it
-    splits depends only on the sizes and the step's row count, so padding
-    still cannot change a bit.  Backward's products stay one GEMM each.
+    That kernel runs on one thread, so products split only when OpenBLAS
+    starts with one (ONE_BLAS_THREAD).  A split product differs from one
+    GEMM in the last bits; whether it splits depends only on the sizes, the
+    step's row count and the threads, so padding still cannot change a bit.
+    Backward's products stay one GEMM each.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
     deltas with a one-hot matrix over the tokens present in the batch, so
@@ -63,18 +67,21 @@ Conventions fixed here and relied on by the test suite:
 Everything is float64 so finite-difference gradient checks are meaningful.
 """
 
+import functools
+import itertools
 import json
 import math
 import os
 import re
 import struct
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .optim import RmsPropState
+from .optim import Product, RmsPropState, form_gradient
 
 CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
@@ -114,7 +121,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSizes:
     """Layer sizes; defaults follow the full-scale training setup."""
 
@@ -232,7 +239,7 @@ def _count(s: ModelSizes) -> int:
 
 def _split(data: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of the flat buffer ``data`` with the given shapes."""
-    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    ends = itertools.accumulate(map(math.prod, shapes))
     return [data[end - math.prod(s):end].reshape(s) for end, s in zip(ends, shapes)]
 
 
@@ -294,14 +301,32 @@ SMALL_GEMM_MNK = 10**6
 PANEL_MAX_ROWS = 16
 
 
+def _blas_threads() -> int:
+    """The thread count OpenBLAS starts with: the first of its variables that
+    holds a positive number, else the CPUs this process may run on, and at
+    most those CPUs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+# The small-matrix kernel runs on one thread: with more, one GEMM is faster.
+ONE_BLAS_THREAD = _blas_threads() == 1
+
+
 def _few_row_product(h: np.ndarray, M: np.ndarray) -> np.ndarray:
     """h @ M.T.  When h has 2 to PANEL_MAX_ROWS rows and the product exceeds
     SMALL_GEMM_MNK, it is formed as M @ h.T one row panel of M at a time,
     each panel within that bound, and the transpose of the result is
-    returned; otherwise it is one GEMM (a GEMV for one row), bit for bit
-    ``h @ M.T``."""
+    returned; otherwise, or unless ONE_BLAS_THREAD, it is one GEMM (a GEMV
+    for one row), bit for bit ``h @ M.T``."""
     k, width = h.shape
-    if not 2 <= k <= PANEL_MAX_ROWS or k * width * len(M) <= SMALL_GEMM_MNK:
+    if (not ONE_BLAS_THREAD or not 2 <= k <= PANEL_MAX_ROWS
+            or k * width * len(M) <= SMALL_GEMM_MNK):
         return h @ M.T
     # A row-major copy: with the view h.T, OpenBLAS takes its transposed
     # small kernel, which is slower from 5 rows on and also needs m*n <= 1200.
@@ -419,12 +444,15 @@ def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
 
 
 def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
-                    grads: GruLayerParams, dx: np.ndarray | None = None) -> np.ndarray:
+                    b_grad: np.ndarray, start: int,
+                    dx: np.ndarray | None = None) -> tuple[np.ndarray, list[Product]]:
     """Sweep one layer back over the packed steps, starting from dL/dh in
     ``dh`` (B, n, running order; updated in place).  ``dx`` adds the
     gradient that arrives through each step's output from the layer above.
-    Writes the layer's U and b gradients into ``grads`` and returns the
-    pre-activation deltas [dz; dr; dhc] (N, 3n).
+    Writes the layer's b gradient into ``b_grad`` and returns the
+    pre-activation deltas [dz; dr; dhc] (N, 3n) and the U gradient, which
+    starts at element ``start`` of the layout, as two products: its z/r rows
+    and its h rows.
 
     The trace factors of the deltas (see the module docstring) are formed
     for every packed row before the sweep, in the deltas buffer itself, and
@@ -461,53 +489,98 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
         g += d_rh
         g += deltas[lo:hi, :2 * n] @ U[:2 * n]
     del keep
-    # U and b gradients, each one GEMM or sum over the packed steps.  The
-    # rows of step 0 have h = r h = 0, so the U GEMMs start after them.
+    np.sum(deltas, axis=0, out=b_grad)
+    # U's rows are products over the packed steps, of the deltas with h
+    # (z, r) and with r h (h).  Step 0's rows have h = r h = 0: they start
+    # after it.
     lo = blocks[1][0] if len(blocks) > 1 else len(deltas)
-    np.matmul(deltas[lo:, :2 * n].T, h[lo:], out=grads.U[:2 * n])
-    h[lo:] *= r[lo:]                        # r h, the input of U_h
-    np.matmul(deltas[lo:, 2 * n:].T, h[lo:], out=grads.U[2 * n:])
-    np.sum(deltas, axis=0, out=grads.b)
-    return deltas
+    return deltas, [Product(start, deltas[lo:, :2 * n], h[lo:]),
+                    Product(start + 2 * n * n, deltas[lo:, 2 * n:], h[lo:] * r[lo:])]
+
+
+@functools.cache
+def _gradient_layout(sizes: ModelSizes) -> tuple[list[int], list[tuple], int]:
+    """Where each fused array starts in the layout, and the shapes and total
+    size of those ``backward`` writes into its dense buffer: all but gru1.U,
+    gru2.W and gru2.U (fused arrays 1, 3 and 4)."""
+    shapes = _shapes(sizes)
+    dense_shapes = [shapes[0], shapes[2], *shapes[5:]]
+    return (list(itertools.accumulate(map(math.prod, shapes), initial=0)), dense_shapes,
+            sum(map(math.prod, dense_shapes)))
+
+
+class Gradients(Mapping):
+    """The gradient ``backward`` returns: PARAM_NAMES -> array.  The gru1.U,
+    gru2.W and gru2.U gradients are held as ``optim.Product`` factor pairs
+    in ``products`` and every other element in ``dense``, in layout order:
+    the form ``rmsprop_step`` takes.  Reading an array forms the whole
+    gradient once, into a buffer laid out like the parameters, which is
+    ``dense`` from then on, with no products."""
+
+    def __init__(self, sizes: ModelSizes, dense: np.ndarray, products: list[Product],
+                 out: ModelParams | None = None):
+        self.sizes, self.dense, self.products = sizes, dense, products
+        self._arrays = None
+        if out is not None:
+            self._form(out)
+
+    def _form(self, out: ModelParams) -> dict[str, np.ndarray]:
+        form_gradient(self.dense, self.products, out.data)
+        self.dense, self.products, self._arrays = out.data, [], out.flat()
+        return self._arrays
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return (self._arrays or self._form(ModelParams.new(self.sizes, np.empty)))[name]
+
+    def __iter__(self):
+        return iter(PARAM_NAMES)
+
+    def __len__(self) -> int:
+        return len(PARAM_NAMES)
 
 
 def backward(params: ModelParams, batch, trace: ForwardTrace,
              verb_out_grad: np.ndarray, state_out_grad: np.ndarray,
-             out: ModelParams | None = None) -> dict[str, np.ndarray]:
+             out: ModelParams | None = None) -> Gradients:
     """Exact reverse-mode gradients of the batch-summed loss with respect to
     every parameter, given dLoss/dOutput for each head.
 
-    Every gradient is written in place into ``out``, a gradient buffer laid
-    out like ``params`` (see ``ModelParams.like``; a new one when None), and
-    the per-gate name -> view mapping of it is returned.
+    The gru1.U, gru2.W and gru2.U gradients are returned as factor pairs,
+    the rest in one dense buffer (see ``Gradients``).  With ``out``, a
+    gradient buffer laid out like ``params`` (see ``ModelParams.like``),
+    every gradient is formed into it.
     """
     if trace.token_matrix is not batch.token_matrix and not np.array_equal(
         trace.token_matrix, batch.token_matrix
     ):
         raise ValueError("trace does not belong to this batch")
-    grads = params.like(np.empty_like(params.data)) if out is None else out
     g1, g2 = params.gru1, params.gru2
+    starts, dense_shapes, n_dense = _gradient_layout(params.sizes)
+    dense = np.empty(n_dense)
+    W1, b1, b2, *heads = _split(dense, dense_shapes)
     dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
-                             verb_out_grad, grads.verb_head)
+                             verb_out_grad, MlpHeadParams(*heads[:4]))
     dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
-                              state_out_grad, grads.state_head)
+                              state_out_grad, MlpHeadParams(*heads[4:]))
 
     dh2 = (dh_verb + dh_state)[trace.order]
-    d2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, grads.gru2)
-    np.matmul(d2.T, trace.gru1.h_out, out=grads.gru2.W)
+    d2, u2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, b2, starts[4])
     dx1 = d2 @ g2.W
-    del d2
 
     dh1 = np.zeros((len(trace.order), g1.U.shape[1]))
-    d1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, grads.gru1, dx=dx1)
+    d1, u1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, b1, starts[1], dx=dx1)
     # Sum each token's input deltas with one one-hot GEMM over the tokens
-    # present, then place the sums in those tokens' columns of W.
-    present, which = np.unique(trace.tokens, return_inverse=True)
+    # present (in increasing order), then place the sums in those tokens'
+    # columns of W.
+    present = np.flatnonzero(np.bincount(trace.tokens))
+    which = np.zeros(present[-1] + 1, dtype=np.intp)
+    which[present] = np.arange(len(present))
     one_hot = np.zeros((len(present), len(trace.tokens)))
-    one_hot[which, np.arange(len(trace.tokens))] = 1.0
-    grads.gru1.W.fill(0.0)
-    grads.gru1.W[:, present] = (one_hot @ d1).T
-    return grads.flat()
+    one_hot[which[trace.tokens], np.arange(len(trace.tokens))] = 1.0
+    W1.fill(0.0)
+    W1[:, present] = (one_hot @ d1).T
+    return Gradients(params.sizes, dense,
+                     [*u1, Product(starts[3], d2, trace.gru1.h_out), *u2], out)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +617,16 @@ def _header(name: str, arr: np.ndarray) -> bytes:
     name_bytes = name.encode()
     return struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}Q", len(name_bytes), name_bytes,
                        arr.ndim, *arr.shape)
+
+
+@functools.cache
+def _headers(stored: bool) -> tuple[int, int]:
+    """The count and total length of a file's array headers, with or without
+    the optimizer's.  Neither depends on the sizes, so a one-unit model's
+    table gives them."""
+    unit = ModelParams.new(ModelSizes(1, 1, 1, 1, 1, 1))
+    headers = [_header(*item) for item in _table(unit, unit if stored else None).items()]
+    return len(headers), sum(map(len, headers))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -653,18 +736,15 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                                   f"in {path}")
         _check_meta(meta, path)
 
-        # Header widths do not depend on the sizes, so a one-unit model's
-        # table gives the headers' length and count.
         stored = meta["rmsprop"] is not None
-        unit = ModelParams.new(ModelSizes(1, 1, 1, 1, 1, 1))
-        headers = [_header(*item) for item in _table(unit, unit if stored else None).items()]
-        expected = fh.tell() + 4 + sum(map(len, headers)) + 8 * _count(sizes) * (1 + stored)
+        count, header_bytes = _headers(stored)
+        expected = fh.tell() + 4 + header_bytes + 8 * _count(sizes) * (1 + stored)
         if size != expected:
             small = size < expected
             raise CheckpointError(f"{'truncated' if small else 'trailing bytes in'} checkpoint: "
                                   f"{path} is too {'small' if small else 'large'} for layout "
                                   f"{meta['fingerprint']} ({size} bytes, not {expected})")
-        expect(struct.pack("<I", len(headers)), f"checkpoint does not hold {len(headers)} arrays")
+        expect(struct.pack("<I", count), f"checkpoint does not hold {count} arrays")
 
         params = ModelParams.new(sizes, np.empty)
         cache = params.like(np.empty_like(params.data)) if optimizer and stored else None

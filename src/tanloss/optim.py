@@ -4,19 +4,34 @@ Per coordinate: cache <- rho*cache + (1-rho)*g^2, then
 theta <- theta - lr * g / (sqrt(cache) + eps).
 
 Parameters and cache are ``ModelParams``, the same layout over one flat
-buffer each, and the gradient is a third flat buffer with that layout, so a
-step is one finite check and one pass over the three buffers, whatever the
-number of named arrays.  ``ModelParams`` (from ``network``) is named in
-annotations only, so that ``network`` can import ``RmsPropState`` for its
-checkpoints.
+buffer each.  The gradient comes as ``backward`` produces it: the large
+weight gradients as factor pairs (``Product``: the array is a.T @ b), every
+other element in one dense buffer.  A step walks the layout in chunks of at
+most CHUNK elements, forms each chunk's gradient in a scratch buffer
+(product rows by one GEMM per row panel, the rest copied from the dense
+buffer) and updates the chunk block by block, so no product exists whole.
+A flat gradient buffer is the case with no products.  ``ModelParams`` (from
+``network``) is named in annotations only, so that ``network`` can import
+from here.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Elements per block of the in-place update.
-BLOCK = 1 << 15
+# Elements per block of the in-place update: a block's operands and
+# temporaries stay in cache between its passes.  2**16 updates a toy-size
+# model (36 k parameters) in one block; at paper size 2**15 and 2**16 time
+# the same.
+BLOCK = 1 << 16
+# Gradient elements formed at a time (2**18: 163 rows of 1600).  A row
+# panel of a product then runs near the whole GEMM's rate: on one thread,
+# the paper-size gru1.U and gru2.W gradients of a 32-sentence batch took
+# 1.1-1.2x as long in panels of 128-256 rows as whole, and 1.7x in panels
+# of 20 rows (2**15 elements).
+CHUNK = 1 << 18
 
 
 @dataclass
@@ -34,6 +49,132 @@ class RmsPropState:
         return cls(cache=params.like(np.zeros_like(params.data)), lr=lr)
 
 
+@dataclass(eq=False, slots=True)
+class Product:
+    """A gradient array held as two factors: it is a.T @ b, row-major, and
+    starts at element ``start`` of the layout."""
+
+    start: int
+    a: np.ndarray     # (K, rows)
+    b: np.ndarray     # (K, cols)
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows [lo, hi) of the array, one GEMM."""
+        return np.matmul(self.a[:, lo:hi].T, self.b, out=out)
+
+    def form(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The whole array, formed in the row panels a step forms it in."""
+        rows, cols = self.a.shape[1], self.b.shape[1]
+        out = np.empty((rows, cols)) if out is None else out
+        for lo, hi in _panels(rows, cols, CHUNK):
+            self.rows(lo, hi, out=out[lo:hi])
+        return out
+
+    def proven_finite(self) -> bool:
+        """True when |a| |b| < 1e300 in the Frobenius norm, which bounds
+        every element and every partial sum of a.T @ b (Cauchy-Schwarz): no
+        element can then overflow.  A non-finite factor fails the test."""
+        def norm(x):
+            return math.sqrt(np.vdot(x, x) if x.flags.c_contiguous
+                             else np.einsum("ij,ij->", x, x))
+        return norm(self.a) * norm(self.b) < 1e300
+
+
+def _panels(rows: int, cols: int, limit: int):
+    """The row panels [lo, hi) of a product: max(2, limit // cols) rows
+    each, the last one taking a lone leftover row.  Which rows share a GEMM
+    can change the kernel BLAS takes and so the last bits, so every caller
+    forms a product in these panels, and a GEMV (one row) is never one."""
+    step = max(2, limit // cols)
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo <= step + 1 else lo + step
+        yield lo, hi
+        lo = hi
+
+
+def _segments(size: int, shapes: tuple):
+    """The layout [0, size) in order as whole pieces (see ``_chunks``):
+    each product from row 0, and each run of dense elements between them.
+    ``shapes`` holds each product's (start, rows, cols), by start."""
+    pos = offset = 0
+    for i, (start, rows, cols) in enumerate([*shapes, (size, 0, 0)]):
+        if pos < start:
+            yield pos, start, None, offset
+            offset += start - pos
+        if rows:
+            yield start, start + rows * cols, i, 0
+        pos = start + rows * cols
+
+
+@functools.lru_cache(maxsize=16)
+def _chunks(size: int, shapes: tuple, limit: int) -> tuple[list[list[tuple]], int]:
+    """The layout as consecutive chunks of at most ``limit`` elements, each
+    a list of pieces (lo, hi, i, first): layout elements [lo, hi), which are
+    rows of product i from row ``first`` on or, with i None, the dense
+    buffer's elements from offset ``first`` on.  A product's rows go in its
+    ``_panels``, and a chunk ends before a panel that does not fit; only a
+    panel wider than ``limit`` makes a chunk larger.  Returns the chunks and
+    the widest one's size.  The plan depends on the shapes alone, so every
+    step of a training run reuses it."""
+    chunks, chunk, room = [], [], limit
+
+    def add(piece):
+        nonlocal chunk, room
+        chunk.append(piece)
+        room -= piece[1] - piece[0]
+        if room <= 0:
+            chunks.append(chunk)
+            chunk, room = [], limit
+
+    for lo, hi, i, first in _segments(size, shapes):
+        if i is None:
+            while lo < hi:
+                take = min(room, hi - lo)
+                add((lo, lo + take, None, first))
+                lo, first = lo + take, first + take
+            continue
+        _, rows, cols = shapes[i]
+        for r, end in _panels(rows, cols, limit):
+            if (end - r) * cols > room and chunk:
+                chunks.append(chunk)
+                chunk, room = [], limit
+            add((lo + r * cols, lo + end * cols, i, r))
+    if chunk:
+        chunks.append(chunk)
+    return chunks, max(chunk[-1][1] - chunk[0][0] for chunk in chunks)
+
+
+def _shapes(products: list[Product]) -> tuple:
+    """Each product's (start, rows, cols): all that the chunk plan reads."""
+    return tuple((p.start, p.a.shape[1], p.b.shape[1]) for p in products)
+
+
+def _form(pieces, dense: np.ndarray, products: list[Product], out: np.ndarray) -> np.ndarray:
+    """The gradient of consecutive ``pieces`` (see ``_chunks``), written
+    into the start of ``out``."""
+    base = pieces[0][0]
+    for lo, hi, i, first in pieces:
+        dst = out[lo - base:hi - base]
+        if i is None:
+            dst[:] = dense[first:first + hi - lo]
+        else:
+            p = products[i]
+            cols = p.b.shape[1]
+            p.rows(first, first + (hi - lo) // cols, out=dst.reshape(-1, cols))
+    return out[:pieces[-1][1] - base]
+
+
+def form_gradient(dense: np.ndarray, products: list[Product], out: np.ndarray) -> np.ndarray:
+    """Write the whole gradient into the flat buffer ``out``."""
+    for lo, hi, i, first in _segments(out.size, _shapes(products)):
+        if i is None:
+            out[lo:hi] = dense[first:first + hi - lo]
+        else:
+            products[i].form(out[lo:hi].reshape(-1, products[i].b.shape[1]))
+    return out
+
+
 def _coordinate(params: "ModelParams", i: int) -> str:
     """The name and coordinate of element ``i`` of the flat buffer."""
     for name, theta in params.flat().items():
@@ -43,37 +184,69 @@ def _coordinate(params: "ModelParams", i: int) -> str:
     raise IndexError(i)
 
 
-def rmsprop_step(params: "ModelParams", grads: np.ndarray, state: RmsPropState):
+def _check_finite(params: "ModelParams", dense: np.ndarray, products: list[Product]):
+    """Raise ValueError naming the first non-finite gradient element in
+    layout order, if there is one.  A finite sum of squares (one BLAS dot
+    product) proves the dense buffer finite, and ``proven_finite`` a
+    product; only what is not proven is scanned, a product formed whole for
+    it."""
+    dense_ok = np.isfinite(np.vdot(dense, dense))
+    unproven = [p for p in products if not p.proven_finite()]
+    if dense_ok and not unproven:
+        return
+    for lo, hi, i, first in _segments(params.data.size, _shapes(products)):
+        if i is None:
+            part = None if dense_ok else dense[first:first + hi - lo]
+        else:
+            p = products[i]
+            part = p.form().ravel() if p in unproven else None
+        if part is not None and not np.all(np.isfinite(part)):
+            bad = lo + int(np.flatnonzero(~np.isfinite(part))[0])
+            raise ValueError(f"non-finite gradient at {_coordinate(params, bad)}")
+
+
+def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
-    ``grads`` is a flat gradient buffer laid out like ``params.data``, such
-    as the ``data`` of the buffer ``backward`` fills.  Non-finite gradients
-    are rejected with the offending array and coordinate named, before any
-    parameter moves.
+    ``grads`` is what ``backward`` returns, an object with ``dense`` (every
+    gradient element outside its products, in layout order) and
+    ``products`` (``Product``s by start), or a flat gradient buffer laid out
+    like ``params.data``.  Non-finite gradients are rejected with the
+    offending array and coordinate named, before any parameter moves.
     """
-    theta, cache, g = params.data, state.cache.data, grads
-    if g.shape != theta.shape or cache.shape != theta.shape:
-        raise ValueError(f"gradient shape {g.shape} and cache shape {cache.shape} must "
+    theta, cache = params.data, state.cache.data
+    dense, products = (grads, []) if isinstance(grads, np.ndarray) else (grads.dense,
+                                                                         grads.products)
+    shapes = _shapes(products)
+    n_dense = theta.size - sum(rows * cols for _, rows, cols in shapes)
+    if dense.shape != (n_dense,) or cache.shape != theta.shape:
+        raise ValueError(f"gradient shape {dense.shape} and cache shape {cache.shape} must "
                          f"match the parameters' {theta.shape}")
-    # A finite sum proves every term finite; only otherwise look closer.
-    if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise ValueError(f"non-finite gradient at {_coordinate(params, bad)}")
-
-    # The update runs over blocks of BLOCK elements, so that a block's
-    # operands and temporaries stay in cache between the passes.
-    scratch = np.empty(min(BLOCK, g.size))
-    for lo in range(0, g.size, BLOCK):
-        th, gb, c = theta[lo:lo + BLOCK], g[lo:lo + BLOCK], cache[lo:lo + BLOCK]
-        buf = scratch[:gb.size]
-        # cache <- rho*cache + (1-rho)*g^2; theta -= lr*g / (sqrt(cache) + eps)
-        c *= state.rho
-        np.multiply(gb, gb, out=buf)
-        buf *= 1.0 - state.rho
-        c += buf
-        np.sqrt(c, out=buf)
-        buf += state.eps
-        np.divide(gb, buf, out=buf)
-        buf *= state.lr
-        th -= buf
+    chunks, widest = _chunks(theta.size, shapes, CHUNK)
+    formed = np.empty(widest)
+    if products and len(chunks) == 1:
+        # One chunk is the whole gradient: formed, it is a flat buffer.
+        dense, products = _form(chunks[0], dense, products, formed), []
+        chunks = _chunks(theta.size, (), CHUNK)[0]
+    _check_finite(params, dense, products)
+    scratch = np.empty(min(BLOCK, theta.size))
+    for pieces in chunks:
+        lo, first = pieces[0][0], pieces[0][3]
+        if len(pieces) == 1 and pieces[0][2] is None:
+            g = dense[first:first + pieces[0][1] - lo]
+        else:
+            g = _form(pieces, dense, products, formed)
+        for b in range(0, g.size, BLOCK):
+            gb, buf = g[b:b + BLOCK], scratch[:min(BLOCK, g.size - b)]
+            th, c = theta[lo + b:lo + b + buf.size], cache[lo + b:lo + b + buf.size]
+            # cache <- rho*cache + (1-rho)*g^2; theta -= lr*g / (sqrt(cache) + eps)
+            c *= state.rho
+            np.multiply(gb, gb, out=buf)
+            buf *= 1.0 - state.rho
+            c += buf
+            np.sqrt(c, out=buf)
+            buf += state.eps
+            np.divide(gb, buf, out=buf)
+            buf *= state.lr
+            th -= buf
     return params, state

@@ -6,11 +6,12 @@ backward pass against the same objective (``gradient_check``).
 Epoch shuffling is reseeded as shuffle_seed + epoch, so a run resumed from a
 checkpoint at epoch k replays epochs k+1..N exactly as a straight run would.
 
-Memory: the parameters, one gradient buffer (allocated once and filled by
-every ``backward``) and the RMSProp cache are one flat buffer each.  Every
-checkpoint is written straight from the live buffers, and no copy of the
-best state is kept: when updates followed the best validation, the gradient
-buffer is freed at the end and the best checkpoint is read back from
+Memory: the parameters and the RMSProp cache are one flat buffer each.  A
+batch's gradient is what ``backward`` returns, a small dense buffer and the
+factors of the large weight gradients, which ``rmsprop_step`` forms a chunk
+at a time; it is freed after the step.  Every checkpoint is written straight
+from the live buffers, and no copy of the best state is kept: when updates
+followed the best validation, the best checkpoint is read back from
 ``ckpt_best.bin``.  Each epoch's log record is appended to
 ``train_log.jsonl`` and flushed when the epoch ends; ``train`` starts that
 log anew, ``resume`` appends to it.  Both need ``checkpoint_dir``.  A
@@ -153,7 +154,6 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
         return Checkpoint(params=params, epoch=epoch, best_val_error=err, seeds=seeds,
                           rmsprop=opt, vocabs=_vocab_meta(*vocabs))
 
-    grads = params.like(np.empty_like(params.data))
     best_ckpt: Checkpoint | None = None
     records: list[TrainLogRecord] = []
     n_train = len(split.train)
@@ -170,14 +170,16 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             # the batch size.
             verb_grad = tangent_loss_grad(batch.verb_labels, verb_pred) / len(batch)
             state_grad = tangent_loss_grad(batch.state_labels, state_pred) / len(batch)
-            backward(params, batch, trace, verb_grad, state_grad, out=grads)
-            # Free it before the next batch's forward allocates.
+            grads = backward(params, batch, trace, verb_grad, state_grad)
+            # Free the trace now and the gradient after its step, before the
+            # next batch's forward allocates.
             del trace
             try:
-                rmsprop_step(params, grads.data, opt)
+                rmsprop_step(params, grads, opt)
             except ValueError as exc:
                 # Raised before any parameter moves: name where it happened.
                 raise ValueError(f"epoch {epoch}, batch {number}: {exc}") from None
+            del grads
 
         val_err = None
         saved = False
@@ -203,7 +205,6 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
 
     if best_ckpt is not None and best_ckpt.epoch != config.epochs:
         # Updates followed the best, so its state is only in its file.
-        del grads
         best_ckpt = load_checkpoint(ckpt_dir / "ckpt_best.bin")
     return TrainResult(best=best_ckpt, records=records, final_params=params, final_state=opt)
 

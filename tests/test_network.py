@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tanloss.network as network
+import tanloss.optim as optim
 from tanloss import cli
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
-from tanloss.network import (Checkpoint, CheckpointError, ModelParams, ModelSizes, backward,
-                             check_fingerprint, forward, init_params, load_checkpoint,
+from tanloss.network import (PARAM_NAMES, Checkpoint, CheckpointError, ModelParams, ModelSizes,
+                             backward, check_fingerprint, forward, init_params, load_checkpoint,
                              save_checkpoint)
 from tanloss.optim import RmsPropState
 from tanloss.training import gradient_check
@@ -154,6 +155,24 @@ class TestFlatBuffer:
         assert all(v.base is out.data for v in grads.values())
         fresh = backward(*args)
         assert out.data.tobytes() == np.concatenate([g.ravel() for g in fresh.values()]).tobytes()
+
+    def test_gradient_maps_every_name_and_out_holds_its_arrays(self, monkeypatch):
+        # Chunks of 2**14 elements put each product's rows in several panels.
+        monkeypatch.setattr(optim, "CHUNK", 1 << 14)
+        params = init_params(SPLIT, seed=2)
+        batch = make_batch(SPLIT, [3, 7, 1, 5], seed=1)
+        verb, state, trace = forward(params, batch)
+        args = (params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                tangent_loss_grad(batch.state_labels, state))
+        grads = backward(*args)
+        assert list(grads) == list(PARAM_NAMES) and len(grads) == len(PARAM_NAMES)
+        assert len(grads.products) == 5 and grads.dense.size < params.data.size / 10
+        out = params.like(np.full_like(params.data, np.nan))
+        assert backward(*args, out=out).dense is out.data
+        for name, arr in out.flat().items():
+            assert grads[name].tobytes() == arr.tobytes(), name
+        # Read once, the gradient is formed whole: a flat buffer.
+        assert grads.products == [] and grads.dense.size == params.data.size
 
     def test_one_step_batch_has_zero_recurrent_gradients(self):
         params = init_params(TOY, seed=2)
@@ -314,6 +333,13 @@ def panel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Products split as under one BLAS thread, whatever this process has."""
+    monkeypatch.setattr(network, "ONE_BLAS_THREAD", True)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
 class TestFewRowProduct:
     @pytest.mark.parametrize("shape", [(900, 300), (1200, 400), (2400, 800)])
     def test_matches_one_product(self, shape, panel_calls):
@@ -376,6 +402,30 @@ class TestFewRowProduct:
             for got, want in ((layer.zr, plain.zr), (layer.hc, plain.hc),
                               (layer.h_out, plain.h_out)):
                 assert np.array_equal(got, want)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("k", [2, 7, 16])
+    def test_several_threads_take_one_product_bit_for_bit(self, k, monkeypatch, panel_calls):
+        monkeypatch.setattr(network, "ONE_BLAS_THREAD", False)
+        rng = np.random.default_rng(k)
+        M, h = rng.standard_normal((2400, 800)), rng.standard_normal((k, 800))
+        assert network._few_row_product(h, M).tobytes() == (h @ M.T).tobytes()
+        assert panel_calls == []
+
+    @pytest.mark.parametrize("env, threads", [
+        ({}, 4), ({"OMP_NUM_THREADS": "1"}, 1), ({"GOTO_NUM_THREADS": "3"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "9"}, 4)])
+    def test_count_follows_openblas_variables_then_the_cpus(self, env, threads, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        assert network._blas_threads() == threads
 
 
 class TestBackward:
@@ -476,8 +526,9 @@ class TestBackward:
         layer_backward = network._layer_backward
 
         def keep_deltas(*args, **kwargs):
-            deltas.append(layer_backward(*args, **kwargs))
-            return deltas[-1]
+            result = layer_backward(*args, **kwargs)
+            deltas.append(result[0])
+            return result
 
         monkeypatch.setattr(network, "_layer_backward", keep_deltas)
         verb, state, trace = forward(params, batch)

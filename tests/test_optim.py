@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tanloss.optim as optim
-from tanloss.network import PARAM_NAMES, ModelSizes, init_params
+from tanloss.corpus import Sample, pad_batch
+from tanloss.losses import tangent_loss_grad
+from tanloss.network import PARAM_NAMES, ModelParams, ModelSizes, backward, forward, init_params
 from tanloss.optim import RmsPropState, rmsprop_step
 
 mp.mp.dps = 40
@@ -134,3 +136,122 @@ def test_non_finite_gradient_in_any_array_is_named_and_moves_nothing(name):
         rmsprop_step(params, grads.data, state)
     assert params.data.tobytes() == before[0].tobytes()
     assert state.cache.data.tobytes() == before[1].tobytes()
+
+
+# Toy size (the quickstart's) and a size at which, with CHUNK cut to 2**14,
+# every product spans several chunks and most chunks mix product panels
+# with dense elements.
+FACTORED_SIZES = [
+    ModelSizes(input_dim=62, verb_dim=8, state_dim=6, gru1_hidden=64, gru2_hidden=32,
+               head_hidden=32),
+    ModelSizes(input_dim=12, verb_dim=4, state_dim=3, gru1_hidden=300, gru2_hidden=400,
+               head_hidden=20),
+]
+
+
+def random_batch(sizes, rng, lengths):
+    samples = [Sample(tokens=rng.integers(0, sizes.input_dim - 1, size=n).tolist(),
+                      verb_label=rng.integers(0, 2, sizes.verb_dim).astype(float),
+                      state_label=rng.integers(0, 2, sizes.state_dim).astype(float))
+               for n in lengths]
+    return pad_batch(samples, pad_index=sizes.input_dim - 1)
+
+
+def batch_gradient(params, batch, out=None):
+    verb, state, trace = forward(params, batch)
+    return backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                    tangent_loss_grad(batch.state_labels, state), out=out)
+
+
+class TestFactoredGradient:
+    @pytest.mark.parametrize("chunk", [1 << 14, optim.CHUNK])
+    @pytest.mark.parametrize("sizes", FACTORED_SIZES, ids=["toy", "gru300x400"])
+    def test_steps_match_the_formed_gradient_bit_for_bit(self, sizes, chunk, monkeypatch):
+        monkeypatch.setattr(optim, "CHUNK", chunk)
+        runs = []
+        for formed in (False, True):
+            rng = np.random.default_rng(3)
+            params = init_params(sizes, seed=4)
+            state = RmsPropState.fresh(params)
+            full = params.like(np.empty_like(params.data))
+            for _ in range(4):
+                batch = random_batch(sizes, rng, rng.integers(1, 9, size=6))
+                if formed:
+                    batch_gradient(params, batch, out=full)
+                    rmsprop_step(params, full.data, state)
+                else:
+                    grads = batch_gradient(params, batch)
+                    assert len(grads.products) == 5 and grads.dense.size < params.data.size
+                    rmsprop_step(params, grads, state)
+            runs.append((params.data.tobytes(), state.cache.data.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_products_span_several_chunks(self):
+        grads = batch_gradient(init_params(FACTORED_SIZES[1], seed=4),
+                               random_batch(FACTORED_SIZES[1], np.random.default_rng(0),
+                                            [3, 8, 5]))
+        size = ModelParams.new(FACTORED_SIZES[1]).data.size
+        chunks, widest = optim._chunks(size, optim._shapes(grads.products), 1 << 14)
+        assert widest <= 1 << 14
+        for i, p in enumerate(grads.products):
+            panels = [piece for chunk in chunks for piece in chunk if piece[2] == i]
+            assert len(panels) > 2
+            assert min(hi - lo for lo, hi, _, _ in panels) >= 2 * p.b.shape[1]
+        # The pieces tile the layout in order.
+        pieces = [piece for chunk in chunks for piece in chunk]
+        assert [lo for lo, *_ in pieces] == [0] + [hi for _, hi, *_ in pieces[:-1]]
+        assert pieces[-1][1] == size
+
+    @pytest.mark.parametrize("product", range(5))
+    def test_finite_factors_whose_product_overflows_are_named_and_move_nothing(self, product):
+        sizes = FACTORED_SIZES[0]
+        rng = np.random.default_rng(product)
+        params = init_params(sizes, seed=1)
+        state = RmsPropState.fresh(params)
+        state.cache.data[:] = rng.random(params.data.size)
+        grads = batch_gradient(params, random_batch(sizes, rng, [4, 7, 2, 5]))
+        p = grads.products[product]
+        row, col = int(rng.integers(p.a.shape[1])), int(rng.integers(p.b.shape[1]))
+        p.a[:, row] = 1e300
+        p.b[:, col] = 1e10
+        assert np.all(np.isfinite(p.a)) and np.all(np.isfinite(p.b))
+        flat = np.empty_like(params.data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            optim.form_gradient(grads.dense, grads.products, flat)
+        with pytest.raises(ValueError) as on_flat:
+            rmsprop_step(params, flat, state)
+        before = params.data.copy(), state.cache.data.copy()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as factored:
+            rmsprop_step(params, grads, state)
+        assert str(factored.value) == str(on_flat.value)
+        array = ["gru1.U", "gru1.U", "gru2.W", "gru2.U", "gru2.U"][product]
+        assert re.fullmatch(rf"non-finite gradient at {re.escape(array)}_[zrh]\[\d+, \d+\]",
+                            str(factored.value))
+        assert params.data.tobytes() == before[0].tobytes()
+        assert state.cache.data.tobytes() == before[1].tobytes()
+
+    def test_an_unproven_finite_product_is_scanned_and_applied(self):
+        sizes = FACTORED_SIZES[0]
+        rng = np.random.default_rng(8)
+        params = init_params(sizes, seed=1)
+        grads = batch_gradient(params, random_batch(sizes, rng, [4, 7, 2, 5]))
+        p = grads.products[2]                       # gru2.W
+        p.a[0, 5] = 1e299
+        assert not p.proven_finite()
+        flat = np.empty_like(params.data)
+        optim.form_gradient(grads.dense, grads.products, flat)
+        assert np.all(np.isfinite(flat)) and np.abs(flat).max() > 1e290
+        results = []
+        for g in (flat, grads):
+            theta, state = params.like(params.data.copy()), RmsPropState.fresh(params)
+            with np.errstate(over="ignore"):
+                rmsprop_step(theta, g, state)
+            results.append((theta.data.tobytes(), state.cache.data.tobytes()))
+        assert results[0] == results[1]
+
+    def test_dense_part_of_the_wrong_length_is_rejected(self):
+        params, state = fresh()
+        grads = batch_gradient(params, random_batch(SIZES, np.random.default_rng(0), [3, 2]))
+        grads.dense = grads.dense[:-1]
+        with pytest.raises(ValueError, match="shape"):
+            rmsprop_step(params, grads, state)

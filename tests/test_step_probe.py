@@ -1,10 +1,13 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tanloss.network import ModelParams, ModelSizes
+from tanloss.optim import Product
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "step_probe.py"
 
@@ -28,9 +31,20 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
         assert r["vocab"] == vocab
         assert r["parameters"] == ModelParams.new(sizes).data.size
         assert r["gru1_W"] == 3 * 6 * vocab
+        # The dense part (every array but gru1.U, gru2.W and gru2.U), then
+        # the factors.
+        products = 3 * 6 * 6 + 3 * 4 * 6 + 3 * 4 * 4
+        assert r["gradient_bytes"] > 8 * (r["parameters"] - products)
         phases = [r["forward_s"], r["backward_s"], r["rmsprop_step_s"]]
         assert min(phases) > 0
         assert r["step_s"] >= sum(phases) * (1 - 1e-9)
+
+
+def test_gradient_bytes_counts_each_array_once(step_probe):
+    deltas, h = np.zeros((5, 12)), np.zeros((5, 4))
+    grads = SimpleNamespace(dense=np.zeros(7), products=[
+        Product(0, deltas[1:, :8], h[1:]), Product(32, deltas[1:, 8:], h[1:] * 2)])
+    assert step_probe.gradient_bytes(grads) == 8 * (7 + 60 + 20 + 16)
 
 
 def test_products_time_each_recurrent_block_and_row_count(step_probe):
@@ -51,5 +65,6 @@ def test_main_prints_one_json_line_per_run(step_probe, monkeypatch, capsys):
     record = json.loads(line)
     assert (record["blas_threads"], record["sizes"], record["rows"]) == (1, [6, 4, 3], 3)
     assert [r["vocab"] for r in record["results"]] == [5, 9]
+    assert all(r["gradient_bytes"] > 0 for r in record["results"])
     assert [(r["block"], r["rows"]) for r in record["products"]] == [
         (block, k) for block in ([12, 6], [6, 6], [8, 4], [4, 4]) for k in (1, 3)]
