@@ -17,7 +17,7 @@ Conventions fixed here and relied on by the test suite:
     that layout.  The gradient is not a third: ``backward`` returns the
     gru1.U, gru2.W and gru2.U gradients as the factor pairs whose products
     they are (``Gradients``), the rest in one small dense buffer, and the
-    optimizer forms the products a chunk at a time.
+    optimizer forms the products a row panel at a time.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
   * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
@@ -53,11 +53,9 @@ Conventions fixed here and relied on by the test suite:
     multiply-adds.  Each panel then fits OpenBLAS's small-matrix kernel,
     which reads M where it lies, where one GEMM would first pack all of
     M: 1.6-2.2x faster on the paper-size blocks (scripts/step_probe.py).
-    That kernel runs on one thread, so products split only when OpenBLAS
-    starts with one (ONE_BLAS_THREAD).  A split product differs from one
-    GEMM in the last bits; whether it splits depends only on the sizes, the
-    step's row count and the threads, so padding still cannot change a bit.
-    Backward's products stay one GEMM each.
+    A split product differs from one GEMM in the last bits; whether it
+    splits depends only on the sizes and the step's row count, so padding
+    still cannot change a bit.  Backward's products stay one GEMM each.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
     deltas with a one-hot matrix over the tokens present in the batch, so
@@ -301,32 +299,14 @@ SMALL_GEMM_MNK = 10**6
 PANEL_MAX_ROWS = 16
 
 
-def _blas_threads() -> int:
-    """The thread count OpenBLAS starts with: the first of its variables that
-    holds a positive number, else the CPUs this process may run on, and at
-    most those CPUs."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
-    return cpus
-
-
-# The small-matrix kernel runs on one thread: with more, one GEMM is faster.
-ONE_BLAS_THREAD = _blas_threads() == 1
-
-
 def _few_row_product(h: np.ndarray, M: np.ndarray) -> np.ndarray:
     """h @ M.T.  When h has 2 to PANEL_MAX_ROWS rows and the product exceeds
     SMALL_GEMM_MNK, it is formed as M @ h.T one row panel of M at a time,
     each panel within that bound, and the transpose of the result is
-    returned; otherwise, or unless ONE_BLAS_THREAD, it is one GEMM (a GEMV
-    for one row), bit for bit ``h @ M.T``."""
+    returned; otherwise it is one GEMM (a GEMV for one row), bit for bit
+    ``h @ M.T``."""
     k, width = h.shape
-    if (not ONE_BLAS_THREAD or not 2 <= k <= PANEL_MAX_ROWS
-            or k * width * len(M) <= SMALL_GEMM_MNK):
+    if not 2 <= k <= PANEL_MAX_ROWS or k * width * len(M) <= SMALL_GEMM_MNK:
         return h @ M.T
     # A row-major copy: with the view h.T, OpenBLAS takes its transposed
     # small kernel, which is slower from 5 rows on and also needs m*n <= 1200.

@@ -6,16 +6,16 @@ theta <- theta - lr * g / (sqrt(cache) + eps).
 Parameters and cache are ``ModelParams``, the same layout over one flat
 buffer each.  The gradient comes as ``backward`` produces it: the large
 weight gradients as factor pairs (``Product``: the array is a.T @ b), every
-other element in one dense buffer.  A step walks the layout in chunks of at
-most CHUNK elements, forms each chunk's gradient in a scratch buffer
-(product rows by one GEMM per row panel, the rest copied from the dense
-buffer) and updates the chunk block by block, so no product exists whole.
-A flat gradient buffer is the case with no products.  ``ModelParams`` (from
-``network``) is named in annotations only, so that ``network`` can import
-from here.
+other element in one dense buffer.  A step walks the layout in order: it
+updates each run of dense elements straight from the dense buffer, and
+forms each product one row panel of about CHUNK elements at a time (one
+GEMM into a scratch buffer) and updates that panel, so no product exists
+whole.  A gradient of at most CHUNK elements (toy size) is formed whole
+first.  A flat gradient buffer is the case with no products.
+``ModelParams`` (from ``network``) is named in annotations only, so that
+``network`` can import from here.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ import numpy as np
 # model (36 k parameters) in one block; at paper size 2**15 and 2**16 time
 # the same.
 BLOCK = 1 << 16
-# Gradient elements formed at a time (2**18: 163 rows of 1600).  A row
+# Product elements formed at a time (2**18: 163 rows of 1600).  A row
 # panel of a product then runs near the whole GEMM's rate: on one thread,
 # the paper-size gru1.U and gru2.W gradients of a 32-sentence batch took
 # 1.1-1.2x as long in panels of 128-256 rows as whole, and 1.7x in panels
@@ -94,75 +94,24 @@ def _panels(rows: int, cols: int, limit: int):
 
 
 def _segments(size: int, shapes: tuple):
-    """The layout [0, size) in order as whole pieces (see ``_chunks``):
-    each product from row 0, and each run of dense elements between them.
-    ``shapes`` holds each product's (start, rows, cols), by start."""
+    """The layout [0, size) in order as pieces (lo, hi, i, first): layout
+    elements [lo, hi), which are the whole of product i (``first`` None)
+    or, with i None, a run of dense elements from offset ``first`` of the
+    dense buffer.  ``shapes`` holds each product's (start, rows, cols), by
+    start."""
     pos = offset = 0
     for i, (start, rows, cols) in enumerate([*shapes, (size, 0, 0)]):
         if pos < start:
             yield pos, start, None, offset
             offset += start - pos
         if rows:
-            yield start, start + rows * cols, i, 0
+            yield start, start + rows * cols, i, None
         pos = start + rows * cols
 
 
-@functools.lru_cache(maxsize=16)
-def _chunks(size: int, shapes: tuple, limit: int) -> tuple[list[list[tuple]], int]:
-    """The layout as consecutive chunks of at most ``limit`` elements, each
-    a list of pieces (lo, hi, i, first): layout elements [lo, hi), which are
-    rows of product i from row ``first`` on or, with i None, the dense
-    buffer's elements from offset ``first`` on.  A product's rows go in its
-    ``_panels``, and a chunk ends before a panel that does not fit; only a
-    panel wider than ``limit`` makes a chunk larger.  Returns the chunks and
-    the widest one's size.  The plan depends on the shapes alone, so every
-    step of a training run reuses it."""
-    chunks, chunk, room = [], [], limit
-
-    def add(piece):
-        nonlocal chunk, room
-        chunk.append(piece)
-        room -= piece[1] - piece[0]
-        if room <= 0:
-            chunks.append(chunk)
-            chunk, room = [], limit
-
-    for lo, hi, i, first in _segments(size, shapes):
-        if i is None:
-            while lo < hi:
-                take = min(room, hi - lo)
-                add((lo, lo + take, None, first))
-                lo, first = lo + take, first + take
-            continue
-        _, rows, cols = shapes[i]
-        for r, end in _panels(rows, cols, limit):
-            if (end - r) * cols > room and chunk:
-                chunks.append(chunk)
-                chunk, room = [], limit
-            add((lo + r * cols, lo + end * cols, i, r))
-    if chunk:
-        chunks.append(chunk)
-    return chunks, max(chunk[-1][1] - chunk[0][0] for chunk in chunks)
-
-
 def _shapes(products: list[Product]) -> tuple:
-    """Each product's (start, rows, cols): all that the chunk plan reads."""
+    """Each product's (start, rows, cols): all that ``_segments`` reads."""
     return tuple((p.start, p.a.shape[1], p.b.shape[1]) for p in products)
-
-
-def _form(pieces, dense: np.ndarray, products: list[Product], out: np.ndarray) -> np.ndarray:
-    """The gradient of consecutive ``pieces`` (see ``_chunks``), written
-    into the start of ``out``."""
-    base = pieces[0][0]
-    for lo, hi, i, first in pieces:
-        dst = out[lo - base:hi - base]
-        if i is None:
-            dst[:] = dense[first:first + hi - lo]
-        else:
-            p = products[i]
-            cols = p.b.shape[1]
-            p.rows(first, first + (hi - lo) // cols, out=dst.reshape(-1, cols))
-    return out[:pieces[-1][1] - base]
 
 
 def form_gradient(dense: np.ndarray, products: list[Product], out: np.ndarray) -> np.ndarray:
@@ -205,6 +154,25 @@ def _check_finite(params: "ModelParams", dense: np.ndarray, products: list[Produ
             raise ValueError(f"non-finite gradient at {_coordinate(params, bad)}")
 
 
+def _update(theta: np.ndarray, cache: np.ndarray, g: np.ndarray, state: RmsPropState,
+            scratch: np.ndarray):
+    """The update of ``theta`` and ``cache`` by the gradient ``g`` (flat
+    views of one length), in place, BLOCK elements at a time."""
+    for b in range(0, g.size, BLOCK):
+        gb, buf = g[b:b + BLOCK], scratch[:min(BLOCK, g.size - b)]
+        th, c = theta[b:b + buf.size], cache[b:b + buf.size]
+        # cache <- rho*cache + (1-rho)*g^2; theta -= lr*g / (sqrt(cache) + eps)
+        c *= state.rho
+        np.multiply(gb, gb, out=buf)
+        buf *= 1.0 - state.rho
+        c += buf
+        np.sqrt(c, out=buf)
+        buf += state.eps
+        np.divide(gb, buf, out=buf)
+        buf *= state.lr
+        th -= buf
+
+
 def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
@@ -222,31 +190,21 @@ def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
     if dense.shape != (n_dense,) or cache.shape != theta.shape:
         raise ValueError(f"gradient shape {dense.shape} and cache shape {cache.shape} must "
                          f"match the parameters' {theta.shape}")
-    chunks, widest = _chunks(theta.size, shapes, CHUNK)
-    formed = np.empty(widest)
-    if products and len(chunks) == 1:
-        # One chunk is the whole gradient: formed, it is a flat buffer.
-        dense, products = _form(chunks[0], dense, products, formed), []
-        chunks = _chunks(theta.size, (), CHUNK)[0]
+    if products and theta.size <= CHUNK:
+        # The whole gradient fits in CHUNK: formed, it is a flat buffer.
+        dense, products = form_gradient(dense, products, np.empty(theta.size)), []
+        shapes = ()
+    formed = np.empty(max(((hi - lo) * cols for _, rows, cols in shapes
+                           for lo, hi in _panels(rows, cols, CHUNK)), default=0))
     _check_finite(params, dense, products)
     scratch = np.empty(min(BLOCK, theta.size))
-    for pieces in chunks:
-        lo, first = pieces[0][0], pieces[0][3]
-        if len(pieces) == 1 and pieces[0][2] is None:
-            g = dense[first:first + pieces[0][1] - lo]
-        else:
-            g = _form(pieces, dense, products, formed)
-        for b in range(0, g.size, BLOCK):
-            gb, buf = g[b:b + BLOCK], scratch[:min(BLOCK, g.size - b)]
-            th, c = theta[lo + b:lo + b + buf.size], cache[lo + b:lo + b + buf.size]
-            # cache <- rho*cache + (1-rho)*g^2; theta -= lr*g / (sqrt(cache) + eps)
-            c *= state.rho
-            np.multiply(gb, gb, out=buf)
-            buf *= 1.0 - state.rho
-            c += buf
-            np.sqrt(c, out=buf)
-            buf += state.eps
-            np.divide(gb, buf, out=buf)
-            buf *= state.lr
-            th -= buf
+    for lo, hi, i, first in _segments(theta.size, shapes):
+        if i is None:
+            _update(theta[lo:hi], cache[lo:hi], dense[first:first + hi - lo], state, scratch)
+            continue
+        p, cols = products[i], shapes[i][2]
+        for r, end in _panels(shapes[i][1], cols, CHUNK):
+            g = p.rows(r, end, out=formed[:(end - r) * cols].reshape(-1, cols)).ravel()
+            at = lo + r * cols
+            _update(theta[at:at + g.size], cache[at:at + g.size], g, state, scratch)
     return params, state

@@ -8,8 +8,8 @@ checkpoint at epoch k replays epochs k+1..N exactly as a straight run would.
 
 Memory: the parameters and the RMSProp cache are one flat buffer each.  A
 batch's gradient is what ``backward`` returns, a small dense buffer and the
-factors of the large weight gradients, which ``rmsprop_step`` forms a chunk
-at a time; it is freed after the step.  Every checkpoint is written straight
+factors of the large weight gradients, which ``rmsprop_step`` forms a row
+panel at a time; it is freed after the step.  Every checkpoint is written straight
 from the live buffers, and no copy of the best state is kept: when updates
 followed the best validation, the best checkpoint is read back from
 ``ckpt_best.bin``.  Each epoch's log record is appended to

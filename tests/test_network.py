@@ -333,13 +333,6 @@ def panel_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def one_blas_thread(monkeypatch):
-    """Products split as under one BLAS thread, whatever this process has."""
-    monkeypatch.setattr(network, "ONE_BLAS_THREAD", True)
-
-
-@pytest.mark.usefixtures("one_blas_thread")
 class TestFewRowProduct:
     @pytest.mark.parametrize("shape", [(900, 300), (1200, 400), (2400, 800)])
     def test_matches_one_product(self, shape, panel_calls):
@@ -402,30 +395,6 @@ class TestFewRowProduct:
             for got, want in ((layer.zr, plain.zr), (layer.hc, plain.hc),
                               (layer.h_out, plain.h_out)):
                 assert np.array_equal(got, want)
-
-
-class TestBlasThreads:
-    @pytest.mark.parametrize("k", [2, 7, 16])
-    def test_several_threads_take_one_product_bit_for_bit(self, k, monkeypatch, panel_calls):
-        monkeypatch.setattr(network, "ONE_BLAS_THREAD", False)
-        rng = np.random.default_rng(k)
-        M, h = rng.standard_normal((2400, 800)), rng.standard_normal((k, 800))
-        assert network._few_row_product(h, M).tobytes() == (h @ M.T).tobytes()
-        assert panel_calls == []
-
-    @pytest.mark.parametrize("env, threads", [
-        ({}, 4), ({"OMP_NUM_THREADS": "1"}, 1), ({"GOTO_NUM_THREADS": "3"}, 3),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "9"}, 4)])
-    def test_count_follows_openblas_variables_then_the_cpus(self, env, threads, monkeypatch):
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        assert network._blas_threads() == threads
 
 
 class TestBackward:

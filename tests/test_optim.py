@@ -139,8 +139,8 @@ def test_non_finite_gradient_in_any_array_is_named_and_moves_nothing(name):
 
 
 # Toy size (the quickstart's) and a size at which, with CHUNK cut to 2**14,
-# every product spans several chunks and most chunks mix product panels
-# with dense elements.
+# every product is formed in several row panels.  With CHUNK cut, toy size
+# too takes the panel walk instead of forming the gradient whole.
 FACTORED_SIZES = [
     ModelSizes(input_dim=62, verb_dim=8, state_dim=6, gru1_hidden=64, gru2_hidden=32,
                head_hidden=32),
@@ -186,21 +186,19 @@ class TestFactoredGradient:
             runs.append((params.data.tobytes(), state.cache.data.tobytes()))
         assert runs[0] == runs[1]
 
-    def test_products_span_several_chunks(self):
+    def test_products_span_several_panels(self):
         grads = batch_gradient(init_params(FACTORED_SIZES[1], seed=4),
                                random_batch(FACTORED_SIZES[1], np.random.default_rng(0),
                                             [3, 8, 5]))
-        size = ModelParams.new(FACTORED_SIZES[1]).data.size
-        chunks, widest = optim._chunks(size, optim._shapes(grads.products), 1 << 14)
-        assert widest <= 1 << 14
-        for i, p in enumerate(grads.products):
-            panels = [piece for chunk in chunks for piece in chunk if piece[2] == i]
+        for p in grads.products:
+            rows, cols = p.a.shape[1], p.b.shape[1]
+            panels = list(optim._panels(rows, cols, 1 << 14))
             assert len(panels) > 2
-            assert min(hi - lo for lo, hi, _, _ in panels) >= 2 * p.b.shape[1]
-        # The pieces tile the layout in order.
-        pieces = [piece for chunk in chunks for piece in chunk]
-        assert [lo for lo, *_ in pieces] == [0] + [hi for _, hi, *_ in pieces[:-1]]
-        assert pieces[-1][1] == size
+            # The panels tile the rows in order, each within the limit and
+            # none a lone row.
+            assert [lo for lo, _ in panels] == [0] + [hi for _, hi in panels[:-1]]
+            assert panels[-1][1] == rows
+            assert all(2 <= hi - lo and (hi - lo) * cols <= 1 << 14 for lo, hi in panels)
 
     @pytest.mark.parametrize("product", range(5))
     def test_finite_factors_whose_product_overflows_are_named_and_move_nothing(self, product):

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanloss import network
 from tanloss.corpus import Sample, pad_batch
 from tanloss.evaluation import evaluate
 from tanloss.losses import batch_error, tangent_loss, tangent_loss_grad
@@ -98,12 +97,11 @@ def test_program_agrees_with_the_reference(tmp_path_factory, case):
                                   set(np.flatnonzero(sample.state_label).tolist())))
 
 
-def test_program_agrees_with_the_reference_where_products_split(tmp_path, monkeypatch):
+def test_program_agrees_with_the_reference_where_products_split(tmp_path):
     # At GRU 300/400, sentences of lengths 1-20 take every running-row count
     # and so put both layers' recurrent products of 3-16 rows through panels,
     # and a lone 6-token sentence does so for layer 2's input projection
-    # (``network._few_row_product``), as they do on one BLAS thread.
-    monkeypatch.setattr(network, "ONE_BLAS_THREAD", True)
+    # (``network._few_row_product``).
     sizes = ModelSizes(input_dim=12, verb_dim=4, state_dim=3, gru1_hidden=300,
                        gru2_hidden=400, head_hidden=20)
     params = init_params(sizes, seed=3)

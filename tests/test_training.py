@@ -188,8 +188,8 @@ class TestResume:
 
     def test_resume_is_exact_where_weight_gradients_span_several_chunks(self, tiny_task,
                                                                          tmp_path, monkeypatch):
-        # At GRU 300/400 and 2**14-element chunks, the optimizer forms every
-        # factored weight gradient over several chunks.
+        # At GRU 300/400 and CHUNK 2**14, the optimizer forms every factored
+        # weight gradient in several row panels.
         monkeypatch.setattr(optim, "CHUNK", 1 << 14)
         split, vocabs = tiny_task
         sizes = dict(gru1_hidden=300, gru2_hidden=400, head_hidden=20)
@@ -335,8 +335,8 @@ class TestPeakMemory:
     live state is the parameters and the RMSProp cache (2 parameter sizes).
     A batch's gradient is a dense part of under a tenth of a parameter size
     and the factors of the large weight gradients, which the optimizer forms
-    in chunks of at most optim.CHUNK elements (0.4 parameter sizes here), so
-    no full-size gradient buffer exists.  No copy of the best is kept: when
+    in row panels of about optim.CHUNK elements (0.4 parameter sizes here),
+    so no full-size gradient buffer exists.  No copy of the best is kept: when
     updates followed it, the best is read back from disk (2 more).
     Activations stay below half a parameter size."""
 
