@@ -19,8 +19,8 @@ layers (``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
 through the forward pass's ``_few_row_product``, best of ``REPEATS`` each.
 
 Prints one JSON line: the BLAS threads, the sizes, per V the parameter
-count, the size of ``gru1.W``, the bytes the gradient holds (its dense
-buffer and the arrays its factors lie in) and the seconds of each phase,
+count, the size of ``gru1.W``, the bytes the gradient holds (the arrays
+its dense runs and factors lie in) and the seconds of each phase,
 and per block and row count the seconds of both products.  The BLAS variables are set to
 one thread before numpy is imported, whatever they were.
 """
@@ -42,7 +42,7 @@ import numpy as np
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
 from tanloss.network import ModelSizes, _few_row_product, backward, forward, init_params
-from tanloss.optim import RmsPropState, rmsprop_step
+from tanloss.optim import Product, RmsPropState, rmsprop_step
 
 VERBS, STATES = 8, 6
 VOCABS = [62, 2000, 8000]
@@ -88,9 +88,9 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
 
 
 def gradient_bytes(grads) -> int:
-    """Bytes of the arrays a gradient from ``backward`` holds: its dense
-    buffer and, once each, the arrays its factors are views of."""
-    arrays = [grads.dense] + [f for p in grads.products for f in (p.a, p.b)]
+    """Bytes of the arrays a gradient from ``backward`` holds: once each,
+    the arrays its pieces (dense runs and factors) are views of."""
+    arrays = [f for p in grads.pieces for f in ((p.a, p.b) if isinstance(p, Product) else (p,))]
     owners = {id(o): o for o in (a if a.base is None else a.base for a in arrays)}
     return sum(o.nbytes for o in owners.values())
 

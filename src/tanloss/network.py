@@ -14,9 +14,10 @@ Conventions fixed here and relied on by the test suite:
     per-gate arrays tile it in the order the checkpoint stores them.  A
     ``ModelParams`` is only ever built as this layout over a buffer, never
     packed from separate arrays.  The RMSProp cache is a second buffer with
-    that layout.  The gradient is not a third: ``backward`` returns the
-    gru1.U, gru2.W and gru2.U gradients as the factor pairs whose products
-    they are (``Gradients``), the rest in one small dense buffer, and the
+    that layout.  The gradient is not a third: ``backward`` returns it as
+    pieces that tile the layout in order (``Gradients``): the gru1.U,
+    gru2.W and gru2.U gradients as the factor pairs whose products they
+    are, and the runs between them as views of one small dense buffer.  The
     optimizer forms the products a row panel at a time.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
@@ -424,15 +425,14 @@ def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
 
 
 def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
-                    b_grad: np.ndarray, start: int,
+                    b_grad: np.ndarray,
                     dx: np.ndarray | None = None) -> tuple[np.ndarray, list[Product]]:
     """Sweep one layer back over the packed steps, starting from dL/dh in
     ``dh`` (B, n, running order; updated in place).  ``dx`` adds the
     gradient that arrives through each step's output from the layer above.
     Writes the layer's b gradient into ``b_grad`` and returns the
-    pre-activation deltas [dz; dr; dhc] (N, 3n) and the U gradient, which
-    starts at element ``start`` of the layout, as two products: its z/r rows
-    and its h rows.
+    pre-activation deltas [dz; dr; dhc] (N, 3n) and the U gradient as two
+    products: its z/r rows and its h rows.
 
     The trace factors of the deltas (see the module docstring) are formed
     for every packed row before the sweep, in the deltas buffer itself, and
@@ -474,39 +474,26 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
     # (z, r) and with r h (h).  Step 0's rows have h = r h = 0: they start
     # after it.
     lo = blocks[1][0] if len(blocks) > 1 else len(deltas)
-    return deltas, [Product(start, deltas[lo:, :2 * n], h[lo:]),
-                    Product(start + 2 * n * n, deltas[lo:, 2 * n:], h[lo:] * r[lo:])]
-
-
-@functools.cache
-def _gradient_layout(sizes: ModelSizes) -> tuple[list[int], list[tuple], int]:
-    """Where each fused array starts in the layout, and the shapes and total
-    size of those ``backward`` writes into its dense buffer: all but gru1.U,
-    gru2.W and gru2.U (fused arrays 1, 3 and 4)."""
-    shapes = _shapes(sizes)
-    dense_shapes = [shapes[0], shapes[2], *shapes[5:]]
-    return (list(itertools.accumulate(map(math.prod, shapes), initial=0)), dense_shapes,
-            sum(map(math.prod, dense_shapes)))
+    return deltas, [Product(deltas[lo:, :2 * n], h[lo:]),
+                    Product(deltas[lo:, 2 * n:], h[lo:] * r[lo:])]
 
 
 class Gradients(Mapping):
-    """The gradient ``backward`` returns: PARAM_NAMES -> array.  The gru1.U,
-    gru2.W and gru2.U gradients are held as ``optim.Product`` factor pairs
-    in ``products`` and every other element in ``dense``, in layout order:
-    the form ``rmsprop_step`` takes.  Reading an array forms the whole
-    gradient once, into a buffer laid out like the parameters, which is
-    ``dense`` from then on, with no products."""
+    """The gradient ``backward`` returns: PARAM_NAMES -> array.  ``pieces``
+    tile the parameters' layout in order, the form ``rmsprop_step`` takes:
+    the gru1.U, gru2.W and gru2.U gradients as ``optim.Product`` factor
+    pairs, every other run of elements as a flat view of one dense buffer.
+    Reading an array forms the whole gradient once, into a buffer laid out
+    like the parameters, which is then the one piece."""
 
-    def __init__(self, sizes: ModelSizes, dense: np.ndarray, products: list[Product],
-                 out: ModelParams | None = None):
-        self.sizes, self.dense, self.products = sizes, dense, products
+    def __init__(self, sizes: ModelSizes, pieces: list, out: ModelParams | None = None):
+        self.sizes, self.pieces = sizes, pieces
         self._arrays = None
         if out is not None:
             self._form(out)
 
     def _form(self, out: ModelParams) -> dict[str, np.ndarray]:
-        form_gradient(self.dense, self.products, out.data)
-        self.dense, self.products, self._arrays = out.data, [], out.flat()
+        self.pieces, self._arrays = [form_gradient(self.pieces, out.data)], out.flat()
         return self._arrays
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -526,17 +513,20 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     every parameter, given dLoss/dOutput for each head.
 
     The gru1.U, gru2.W and gru2.U gradients are returned as factor pairs,
-    the rest in one dense buffer (see ``Gradients``).  With ``out``, a
-    gradient buffer laid out like ``params`` (see ``ModelParams.like``),
-    every gradient is formed into it.
+    the rest as views of one dense buffer (see ``Gradients``).  With
+    ``out``, a gradient buffer laid out like ``params`` (see
+    ``ModelParams.like``), every gradient is formed into it.
     """
     if trace.token_matrix is not batch.token_matrix and not np.array_equal(
         trace.token_matrix, batch.token_matrix
     ):
         raise ValueError("trace does not belong to this batch")
     g1, g2 = params.gru1, params.gru2
-    starts, dense_shapes, n_dense = _gradient_layout(params.sizes)
-    dense = np.empty(n_dense)
+    # Every array but gru1.U, gru2.W and gru2.U (fused arrays 1, 3 and 4),
+    # in layout order.
+    shapes = _shapes(params.sizes)
+    dense_shapes = [shapes[0], shapes[2], *shapes[5:]]
+    dense = np.empty(sum(map(math.prod, dense_shapes)))
     W1, b1, b2, *heads = _split(dense, dense_shapes)
     dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
                              verb_out_grad, MlpHeadParams(*heads[:4]))
@@ -544,11 +534,11 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
                               state_out_grad, MlpHeadParams(*heads[4:]))
 
     dh2 = (dh_verb + dh_state)[trace.order]
-    d2, u2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, b2, starts[4])
+    d2, u2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, b2)
     dx1 = d2 @ g2.W
 
     dh1 = np.zeros((len(trace.order), g1.U.shape[1]))
-    d1, u1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, b1, starts[1], dx=dx1)
+    d1, u1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, b1, dx=dx1)
     # Sum each token's input deltas with one one-hot GEMM over the tokens
     # present (in increasing order), then place the sums in those tokens'
     # columns of W.
@@ -559,8 +549,9 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     one_hot[which[trace.tokens], np.arange(len(trace.tokens))] = 1.0
     W1.fill(0.0)
     W1[:, present] = (one_hot @ d1).T
-    return Gradients(params.sizes, dense,
-                     [*u1, Product(starts[3], d2, trace.gru1.h_out), *u2], out)
+    tail = W1.size + b1.size
+    return Gradients(params.sizes, [dense[:W1.size], *u1, dense[W1.size:tail],
+                                    Product(d2, trace.gru1.h_out), *u2, dense[tail:]], out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ Per coordinate: cache <- rho*cache + (1-rho)*g^2, then
 theta <- theta - lr * g / (sqrt(cache) + eps).
 
 Parameters and cache are ``ModelParams``, the same layout over one flat
-buffer each.  The gradient comes as ``backward`` produces it: the large
-weight gradients as factor pairs (``Product``: the array is a.T @ b), every
-other element in one dense buffer.  A step walks the layout in order: it
-updates each run of dense elements straight from the dense buffer, and
-forms each product one row panel of about CHUNK elements at a time (one
-GEMM into a scratch buffer) and updates that panel, so no product exists
-whole.  A gradient of at most CHUNK elements (toy size) is formed whole
-first.  A flat gradient buffer is the case with no products.
+buffer each.  The gradient comes as ``backward`` produces it: pieces that
+tile the layout in order, each a run of elements of one dense buffer or a
+large weight gradient held as a factor pair (``Product``: the array is
+a.T @ b).  One walk (``_walk``) visits them in order, each dense run as it
+lies and each product one row panel of about CHUNK elements at a time,
+formed by one GEMM into a scratch buffer.  Forming the whole gradient, the
+finite scan and the step all take that walk, so no product exists whole on
+any path; the step updates each run and panel while it is in cache.  A
+gradient of at most CHUNK elements (toy size) is formed whole first and
+updated as one run.  A flat gradient buffer is the case of one piece.
 ``ModelParams`` (from ``network``) is named in annotations only, so that
 ``network`` can import from here.
 """
@@ -51,24 +53,14 @@ class RmsPropState:
 
 @dataclass(eq=False, slots=True)
 class Product:
-    """A gradient array held as two factors: it is a.T @ b, row-major, and
-    starts at element ``start`` of the layout."""
+    """A gradient array held as two factors: it is a.T @ b, row-major."""
 
-    start: int
     a: np.ndarray     # (K, rows)
     b: np.ndarray     # (K, cols)
 
-    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows [lo, hi) of the array, one GEMM."""
-        return np.matmul(self.a[:, lo:hi].T, self.b, out=out)
-
-    def form(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The whole array, formed in the row panels a step forms it in."""
-        rows, cols = self.a.shape[1], self.b.shape[1]
-        out = np.empty((rows, cols)) if out is None else out
-        for lo, hi in _panels(rows, cols, CHUNK):
-            self.rows(lo, hi, out=out[lo:hi])
-        return out
+    @property
+    def size(self) -> int:
+        return self.a.shape[1] * self.b.shape[1]
 
     def proven_finite(self) -> bool:
         """True when |a| |b| < 1e300 in the Frobenius norm, which bounds
@@ -83,8 +75,9 @@ class Product:
 def _panels(rows: int, cols: int, limit: int):
     """The row panels [lo, hi) of a product: max(2, limit // cols) rows
     each, the last one taking a lone leftover row.  Which rows share a GEMM
-    can change the kernel BLAS takes and so the last bits, so every caller
-    forms a product in these panels, and a GEMV (one row) is never one."""
+    can change the kernel BLAS takes and so the last bits, so a product is
+    only ever formed in these panels, and a GEMM of one row (a GEMV) is
+    never one of them unless the product has one row."""
     step = max(2, limit // cols)
     lo = 0
     while lo < rows:
@@ -93,34 +86,30 @@ def _panels(rows: int, cols: int, limit: int):
         lo = hi
 
 
-def _segments(size: int, shapes: tuple):
-    """The layout [0, size) in order as pieces (lo, hi, i, first): layout
-    elements [lo, hi), which are the whole of product i (``first`` None)
-    or, with i None, a run of dense elements from offset ``first`` of the
-    dense buffer.  ``shapes`` holds each product's (start, rows, cols), by
-    start."""
-    pos = offset = 0
-    for i, (start, rows, cols) in enumerate([*shapes, (size, 0, 0)]):
-        if pos < start:
-            yield pos, start, None, offset
-            offset += start - pos
-        if rows:
-            yield start, start + rows * cols, i, None
-        pos = start + rows * cols
-
-
-def _shapes(products: list[Product]) -> tuple:
-    """Each product's (start, rows, cols): all that ``_segments`` reads."""
-    return tuple((p.start, p.a.shape[1], p.b.shape[1]) for p in products)
-
-
-def form_gradient(dense: np.ndarray, products: list[Product], out: np.ndarray) -> np.ndarray:
-    """Write the whole gradient into the flat buffer ``out``."""
-    for lo, hi, i, first in _segments(out.size, _shapes(products)):
-        if i is None:
-            out[lo:hi] = dense[first:first + hi - lo]
+def _walk(pieces: list):
+    """The gradient whose ``pieces`` tile the layout in order, as (offset,
+    values) pairs: a dense piece as one flat run, a product one row panel
+    (``_panels`` of CHUNK elements) at a time, formed by one GEMM into one
+    scratch buffer, which the next panel overwrites."""
+    products = [p for p in pieces if isinstance(p, Product)]
+    formed = np.empty(max(((hi - lo) * p.b.shape[1] for p in products
+                           for lo, hi in _panels(p.a.shape[1], p.b.shape[1], CHUNK)), default=0))
+    at = 0
+    for piece in pieces:
+        if isinstance(piece, Product):
+            cols = piece.b.shape[1]
+            for lo, hi in _panels(piece.a.shape[1], cols, CHUNK):
+                out = formed[:(hi - lo) * cols].reshape(-1, cols)
+                yield at + lo * cols, np.matmul(piece.a[:, lo:hi].T, piece.b, out=out).ravel()
         else:
-            products[i].form(out[lo:hi].reshape(-1, products[i].b.shape[1]))
+            yield at, piece.ravel()
+        at += piece.size
+
+
+def form_gradient(pieces: list, out: np.ndarray) -> np.ndarray:
+    """Write the whole gradient into the flat buffer ``out``."""
+    for at, g in _walk(pieces):
+        out[at:at + g.size] = g
     return out
 
 
@@ -133,25 +122,19 @@ def _coordinate(params: "ModelParams", i: int) -> str:
     raise IndexError(i)
 
 
-def _check_finite(params: "ModelParams", dense: np.ndarray, products: list[Product]):
+def _check_finite(params: "ModelParams", pieces: list):
     """Raise ValueError naming the first non-finite gradient element in
     layout order, if there is one.  A finite sum of squares (one BLAS dot
-    product) proves the dense buffer finite, and ``proven_finite`` a
-    product; only what is not proven is scanned, a product formed whole for
-    it."""
-    dense_ok = np.isfinite(np.vdot(dense, dense))
-    unproven = [p for p in products if not p.proven_finite()]
-    if dense_ok and not unproven:
+    product) proves a dense piece finite, and ``proven_finite`` a product;
+    unless every piece is proven, the walk scans the whole gradient, so a
+    product too is scanned one row panel at a time."""
+    if all(p.proven_finite() if isinstance(p, Product) else np.isfinite(np.vdot(p, p))
+           for p in pieces):
         return
-    for lo, hi, i, first in _segments(params.data.size, _shapes(products)):
-        if i is None:
-            part = None if dense_ok else dense[first:first + hi - lo]
-        else:
-            p = products[i]
-            part = p.form().ravel() if p in unproven else None
-        if part is not None and not np.all(np.isfinite(part)):
-            bad = lo + int(np.flatnonzero(~np.isfinite(part))[0])
-            raise ValueError(f"non-finite gradient at {_coordinate(params, bad)}")
+    for at, g in _walk(pieces):
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise ValueError(f"non-finite gradient at {_coordinate(params, at + int(bad[0]))}")
 
 
 def _update(theta: np.ndarray, cache: np.ndarray, g: np.ndarray, state: RmsPropState,
@@ -176,35 +159,23 @@ def _update(theta: np.ndarray, cache: np.ndarray, g: np.ndarray, state: RmsPropS
 def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
-    ``grads`` is what ``backward`` returns, an object with ``dense`` (every
-    gradient element outside its products, in layout order) and
-    ``products`` (``Product``s by start), or a flat gradient buffer laid out
-    like ``params.data``.  Non-finite gradients are rejected with the
-    offending array and coordinate named, before any parameter moves.
+    ``grads`` is what ``backward`` returns, an object whose ``pieces``
+    (flat dense arrays and ``Product``s) tile the parameters' layout in
+    order, or a flat gradient buffer laid out like ``params.data``.
+    Non-finite gradients are rejected with the offending array and
+    coordinate named, before any parameter moves.
     """
     theta, cache = params.data, state.cache.data
-    dense, products = (grads, []) if isinstance(grads, np.ndarray) else (grads.dense,
-                                                                         grads.products)
-    shapes = _shapes(products)
-    n_dense = theta.size - sum(rows * cols for _, rows, cols in shapes)
-    if dense.shape != (n_dense,) or cache.shape != theta.shape:
-        raise ValueError(f"gradient shape {dense.shape} and cache shape {cache.shape} must "
-                         f"match the parameters' {theta.shape}")
-    if products and theta.size <= CHUNK:
-        # The whole gradient fits in CHUNK: formed, it is a flat buffer.
-        dense, products = form_gradient(dense, products, np.empty(theta.size)), []
-        shapes = ()
-    formed = np.empty(max(((hi - lo) * cols for _, rows, cols in shapes
-                           for lo, hi in _panels(rows, cols, CHUNK)), default=0))
-    _check_finite(params, dense, products)
+    pieces = [grads] if isinstance(grads, np.ndarray) else grads.pieces
+    size = sum(p.size for p in pieces)
+    if size != theta.size or cache.shape != theta.shape:
+        raise ValueError(f"gradient of {size} elements and cache shape {cache.shape} must "
+                         f"match the parameters' shape {theta.shape}")
+    if len(pieces) > 1 and theta.size <= CHUNK:
+        # The whole gradient fits in CHUNK: formed, it is one flat piece.
+        pieces = [form_gradient(pieces, np.empty(theta.size))]
+    _check_finite(params, pieces)
     scratch = np.empty(min(BLOCK, theta.size))
-    for lo, hi, i, first in _segments(theta.size, shapes):
-        if i is None:
-            _update(theta[lo:hi], cache[lo:hi], dense[first:first + hi - lo], state, scratch)
-            continue
-        p, cols = products[i], shapes[i][2]
-        for r, end in _panels(shapes[i][1], cols, CHUNK):
-            g = p.rows(r, end, out=formed[:(end - r) * cols].reshape(-1, cols)).ravel()
-            at = lo + r * cols
-            _update(theta[at:at + g.size], cache[at:at + g.size], g, state, scratch)
+    for at, g in _walk(pieces):
+        _update(theta[at:at + g.size], cache[at:at + g.size], g, state, scratch)
     return params, state

@@ -166,13 +166,17 @@ class TestFlatBuffer:
                 tangent_loss_grad(batch.state_labels, state))
         grads = backward(*args)
         assert list(grads) == list(PARAM_NAMES) and len(grads) == len(PARAM_NAMES)
-        assert len(grads.products) == 5 and grads.dense.size < params.data.size / 10
+        dense = [p for p in grads.pieces if not isinstance(p, optim.Product)]
+        assert len(grads.pieces) == 8 and sum(p.size for p in dense) < params.data.size / 10
+        assert all(p.base is dense[0].base for p in dense)
         out = params.like(np.full_like(params.data, np.nan))
-        assert backward(*args, out=out).dense is out.data
+        (piece,) = backward(*args, out=out).pieces
+        assert piece is out.data
         for name, arr in out.flat().items():
             assert grads[name].tobytes() == arr.tobytes(), name
-        # Read once, the gradient is formed whole: a flat buffer.
-        assert grads.products == [] and grads.dense.size == params.data.size
+        # Read once, the gradient is formed whole: one flat buffer.
+        (piece,) = grads.pieces
+        assert piece.shape == params.data.shape
 
     def test_one_step_batch_has_zero_recurrent_gradients(self):
         params = init_params(TOY, seed=2)

@@ -12,7 +12,9 @@ of the training objective through the reference's cell and head: with
 h = 1e-30, Im f(theta + ih e_k) / h is df/dtheta_k to rounding, since no
 difference of two values is taken (Squire & Trapp 1998, SIAM Review 40(1)).
 So every coordinate must agree to a relative 1e-9, not the 1e-4 that
-central differences allow.
+central differences allow, up to a per-coordinate bound on what float64
+rounding in the program can cost it where gates saturate or the loss is
+steep.
 """
 
 import importlib.util
@@ -119,6 +121,8 @@ def test_program_agrees_with_the_reference_where_products_split(tmp_path):
 
 # Step of the complex-step derivative.
 H = 1e-30
+# The unit roundoff of float64.
+U = np.finfo(np.float64).eps / 2
 
 
 @st.composite
@@ -141,18 +145,19 @@ def gradient_cases(draw):
     return params, samples
 
 
-def reference_loss(arrays, samples):
-    """The batch-summed training objective through the reference's cell and
-    head, on parameter arrays that may be complex.  Each group of equal
-    lengths runs for exactly its length.  ``np.maximum`` orders complex
-    numbers by their real part first, so the head's ReLU takes its branch
-    from the real part, and so does |y - p| here."""
+def reference_terms(arrays, samples):
+    """The terms of the batch-summed training objective (one per sentence
+    and head output) through the reference's cell and head, on parameter
+    arrays that may be complex.  Each group of equal lengths runs for
+    exactly its length.  ``np.maximum`` orders complex numbers by their real
+    part first, so the head's ReLU takes its branch from the real part, and
+    so does |y - p| here."""
     n_in = arrays["gru1.W_z"].shape[1]
     n1, n2 = arrays["gru1.U_z"].shape[0], arrays["gru2.U_z"].shape[0]
     by_length: dict[int, list[Sample]] = {}
     for sample in samples:
         by_length.setdefault(len(sample.tokens), []).append(sample)
-    loss = 0.0
+    terms = []
     for length, group in by_length.items():
         h1, h2 = np.zeros((len(group), n1)), np.zeros((len(group), n2))
         for t in range(length):
@@ -162,9 +167,78 @@ def reference_loss(arrays, samples):
         for head, labels in (("verb_head", [s.verb_label for s in group]),
                              ("state_head", [s.state_label for s in group])):
             diff = np.array(labels) - reference._head(arrays, head, h2)
-            loss = loss + np.sum(reference.SCALE * np.tan(
-                reference.COEFF * diff * np.sign(diff.real)))
-    return loss
+            terms.append(np.ravel(reference.SCALE * np.tan(
+                reference.COEFF * diff * np.sign(diff.real))))
+    return np.concatenate(terms)
+
+
+def path_magnitudes(arrays, samples, slack):
+    """For each term of ``reference_terms`` (rows) and each parameter element,
+    in the order of ``arrays`` (columns): the sum, over every path from the
+    element to the term, of the product of the magnitudes of the partial
+    derivatives along it, each raised by ``slack`` times the float64 error
+    the program makes in it.  Forward mode through the reference's cell and
+    head; with every factor taken in absolute value, no two paths cancel.
+
+    The program holds a sigmoid output s to about 2U absolute (0.5 tanh(x/2)
+    + 0.5), and so also s (1 - s), z, 1 - z and r, however small they are.
+    A tanh output t is held to about U, so 1 - t^2 is held to 4U.  The
+    tangent's derivative SCALE COEFF / cos^2(COEFF d) at d = |y - p|, with p
+    off by 2U, is off by 4 COEFF tan(COEFF d) U relative."""
+    P = sum(arr.size for arr in arrays.values())
+    ends = np.cumsum([arr.size for arr in arrays.values()])
+    seeds = {name: block.reshape(*arr.shape, P)
+             for (name, arr), block in zip(arrays.items(), np.split(np.eye(P), ends[:-1]))}
+    err = 2 * U * slack
+
+    def affine(x, dx, names):
+        """x @ W.T (+ b) and its magnitudes, for the ``names`` W (and b)."""
+        W = arrays[names[0]]
+        out = x @ W.T, (np.einsum("rip,oi->rop", dx, np.abs(W))
+                        + np.einsum("ri,oip->rop", np.abs(x), seeds[names[0]]))
+        return out if len(names) == 1 else (out[0] + arrays[names[1]],
+                                            out[1] + seeds[names[1]])
+
+    def times(factor, dv):
+        return (np.abs(factor) + err)[..., None] * dv
+
+    def sigmoid(v, dv):
+        y = reference.sigmoid(v)
+        return y, times(y * (1 - y), dv)
+
+    n_in = arrays["gru1.W_z"].shape[1]
+    rows = []
+    for sample in samples:
+        state = {layer: (np.zeros((1, arrays[f"{layer}.U_z"].shape[0])),
+                         np.zeros((1, arrays[f"{layer}.U_z"].shape[0], P)))
+                 for layer in ("gru1", "gru2")}
+        for token in sample.tokens:
+            x, dx = np.eye(n_in)[[token]], np.zeros((1, n_in, P))
+            for layer in ("gru1", "gru2"):
+                h, dh = state[layer]
+
+                def pre(gate, hh, dhh):
+                    (a, da), (b, db) = (affine(x, dx, (f"{layer}.W_{gate}", f"{layer}.b_{gate}")),
+                                        affine(hh, dhh, (f"{layer}.U_{gate}",)))
+                    return a + b, da + db
+
+                z, dz = sigmoid(*pre("z", h, dh))
+                r, dr = sigmoid(*pre("r", h, dh))
+                v, dv = pre("h", r * h, times(r, dh) + np.abs(h)[..., None] * dr)
+                c = np.tanh(v)
+                dc = (1 - c * c + 2 * err)[..., None] * dv
+                x = (1 - z) * h + z * c
+                dx = times(1 - z, dh) + times(z, dc) + (np.abs(h) + np.abs(c))[..., None] * dz
+                state[layer] = x, dx
+        for head, label in (("verb_head", sample.verb_label), ("state_head", sample.state_label)):
+            a, da = affine(x, dx, (f"{head}.W1", f"{head}.b1"))
+            out, dout = sigmoid(*affine(np.maximum(a, 0.0), (a > 0)[..., None] * da,
+                                        (f"{head}.W2", f"{head}.b2")))
+            theta = reference.COEFF * np.abs(label - out)
+            slope = (reference.SCALE * reference.COEFF / np.cos(theta) ** 2
+                     * (1 + 2 * reference.COEFF * np.tan(theta) * err))
+            rows.append((slope[..., None] * dout).reshape(-1, P))
+    return np.concatenate(rows)
 
 
 @settings(max_examples=15, deadline=None)
@@ -179,13 +253,22 @@ def test_backward_matches_complex_step_derivatives(tmp_path_factory, case):
     grads = backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
                      tangent_loss_grad(batch.state_labels, state))
 
+    # Float64 rounding errs on each path from a parameter to a term of the
+    # objective by about U relative, plus what the errors in its factors
+    # cost (``path_magnitudes``): the entry may be off by U times its paths'
+    # magnitudes with those errors, plus what the errors add to them.  A
+    # relative 1e-9 covers the rest, such as the order of the sums.
+    exact, raised = (path_magnitudes(arrays, samples, slack).sum(axis=0) for slack in (0, 1))
+    ends = np.cumsum([arr.size for arr in arrays.values()])[:-1]
+    atol, raised = np.split((1 + U) * raised - exact, ends), np.split(raised, ends)
     probe = {name: arr.astype(complex) for name, arr in arrays.items()}
-    for name, arr in probe.items():
+    for (name, arr), bound, paths in zip(probe.items(), atol, raised):
         want = np.empty(arr.shape)
         for k in np.ndindex(arr.shape):
             arr[k] += 1j * H
-            want[k] = reference_loss(probe, samples).imag / H
+            want[k] = reference_terms(probe, samples).imag.sum() / H
             arr[k] = arr[k].real
-        # Entries that cancel to near zero are held to the largest one's rounding.
-        np.testing.assert_allclose(grads[name], want, rtol=1e-9,
-                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+        # No derivative exceeds the sum of its paths' magnitudes.
+        assert np.all(np.abs(want).ravel() <= (1 + 1e-9) * paths), name
+        off = np.abs(grads[name] - want) > 1e-9 * np.abs(want) + bound.reshape(arr.shape)
+        assert not off.any(), (name, grads[name][off], want[off])

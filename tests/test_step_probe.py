@@ -41,9 +41,9 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
 
 
 def test_gradient_bytes_counts_each_array_once(step_probe):
-    deltas, h = np.zeros((5, 12)), np.zeros((5, 4))
-    grads = SimpleNamespace(dense=np.zeros(7), products=[
-        Product(0, deltas[1:, :8], h[1:]), Product(32, deltas[1:, 8:], h[1:] * 2)])
+    dense, deltas, h = np.zeros(7), np.zeros((5, 12)), np.zeros((5, 4))
+    grads = SimpleNamespace(pieces=[dense[:3], Product(deltas[1:, :8], h[1:]), dense[3:],
+                                    Product(deltas[1:, 8:], h[1:] * 2)])
     assert step_probe.gradient_bytes(grads) == 8 * (7 + 60 + 20 + 16)
 
 
