@@ -173,6 +173,8 @@ def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
                          f"match the parameters' shape {theta.shape}")
     if len(pieces) > 1 and theta.size <= CHUNK:
         # The whole gradient fits in CHUNK: formed, it is one flat piece.
+        # Walking its eight pieces instead cost toy-train 5 % of its
+        # train_samples_per_s (medians of ten runs, one BLAS thread).
         pieces = [form_gradient(pieces, np.empty(theta.size))]
     _check_finite(params, pieces)
     scratch = np.empty(min(BLOCK, theta.size))
