@@ -91,9 +91,9 @@ def _walk(pieces: list):
     values) pairs: a dense piece as one flat run, a product one row panel
     (``_panels`` of CHUNK elements) at a time, formed by one GEMM into one
     scratch buffer, which the next panel overwrites."""
-    products = [p for p in pieces if isinstance(p, Product)]
-    formed = np.empty(max(((hi - lo) * p.b.shape[1] for p in products
-                           for lo, hi in _panels(p.a.shape[1], p.b.shape[1], CHUNK)), default=0))
+    # A panel of ``_panels`` holds at most its step plus one row.
+    formed = np.empty(max((min(p.a.shape[1], max(2, CHUNK // p.b.shape[1]) + 1) * p.b.shape[1]
+                           for p in pieces if isinstance(p, Product)), default=0))
     at = 0
     for piece in pieces:
         if isinstance(piece, Product):
@@ -167,9 +167,9 @@ def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
     """
     theta, cache = params.data, state.cache.data
     pieces = [grads] if isinstance(grads, np.ndarray) else grads.pieces
-    size = sum(p.size for p in pieces)
-    if size != theta.size or cache.shape != theta.shape:
-        raise ValueError(f"gradient of {size} elements and cache shape {cache.shape} must "
+    shape = grads.shape if isinstance(grads, np.ndarray) else (sum(p.size for p in pieces),)
+    if shape != theta.shape or cache.shape != theta.shape:
+        raise ValueError(f"gradient shape {shape} and cache shape {cache.shape} must "
                          f"match the parameters' shape {theta.shape}")
     if len(pieces) > 1 and theta.size <= CHUNK:
         # The whole gradient fits in CHUNK: formed, it is one flat piece.

@@ -97,9 +97,11 @@ def test_non_finite_gradient_names_coordinate():
 
 def test_shape_mismatch_rejected():
     params, state = fresh()
-    grads = zeros(params).data[:-1]
-    with pytest.raises(ValueError, match="shape"):
-        rmsprop_step(params, grads, state)
+    data = zeros(params).data
+    # Too short, and of the right size but the wrong shape.
+    for grads in (data[:-1], data.reshape(-1, 1), data.reshape(1, -1)):
+        with pytest.raises(ValueError, match="shape"):
+            rmsprop_step(params, grads, state)
 
 
 @pytest.mark.parametrize("block", [7, optim.BLOCK])

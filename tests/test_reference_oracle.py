@@ -256,11 +256,23 @@ def test_backward_matches_complex_step_derivatives(tmp_path_factory, case):
     # Float64 rounding errs on each path from a parameter to a term of the
     # objective by about U relative, plus what the errors in its factors
     # cost (``path_magnitudes``): the entry may be off by U times its paths'
-    # magnitudes with those errors, plus what the errors add to them.  A
-    # relative 1e-9 covers the rest, such as the order of the sums.
+    # magnitudes with those errors, plus what the errors add to them.  The
+    # sums err too: a sum or dot product of k terms by at most about k U
+    # times the sum of its terms' magnitudes (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2002, sec. 3.1), a bound that does not shrink
+    # where the paths cancel.  A path's term passes through at most 2T + 2
+    # affine maps forward and as many back (T tokens, two layers, the head),
+    # each a sum of at most 3 x the widest array's rows or columns, plus the
+    # few additions of a cell, and then the sum over the batch's B T rows;
+    # the reference's complex step takes the same sums, so they count
+    # twice.  A relative 1e-9 covers the rest.
+    T, B = max(len(s.tokens) for s in samples), len(samples)
+    width = 3 * max(max(arr.shape) for arr in arrays.values()) + 4
+    sums = 2 * (2 * (2 * T + 2) * width + B * T)
     exact, raised = (path_magnitudes(arrays, samples, slack).sum(axis=0) for slack in (0, 1))
     ends = np.cumsum([arr.size for arr in arrays.values()])[:-1]
-    atol, raised = np.split((1 + U) * raised - exact, ends), np.split(raised, ends)
+    atol = np.split((1 + (1 + sums) * U) * raised - exact, ends)
+    raised = np.split(raised, ends)
     probe = {name: arr.astype(complex) for name, arr in arrays.items()}
     for (name, arr), bound, paths in zip(probe.items(), atol, raised):
         want = np.empty(arr.shape)
@@ -270,5 +282,8 @@ def test_backward_matches_complex_step_derivatives(tmp_path_factory, case):
             arr[k] = arr[k].real
         # No derivative exceeds the sum of its paths' magnitudes.
         assert np.all(np.abs(want).ravel() <= (1 + 1e-9) * paths), name
-        off = np.abs(grads[name] - want) > 1e-9 * np.abs(want) + bound.reshape(arr.shape)
-        assert not off.any(), (name, grads[name][off], want[off])
+        got = grads[name]
+        assert got.shape == want.shape, name
+        # Written so that a NaN entry fails.
+        ok = np.abs(got - want) <= 1e-9 * np.abs(want) + bound.reshape(arr.shape)
+        assert ok.all(), (name, got[~ok], want[~ok])
