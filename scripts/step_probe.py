@@ -11,7 +11,7 @@ steps on it, as the trainer runs them: ``forward``, ``backward`` of the
 batch-mean tangent loss, and ``rmsprop_step`` on the gradient ``backward``
 returns.  Each phase is reported at its fastest repeat, and the step at its
 fastest whole repeat.  At V = 8000 the parameters and optimizer cache take
-843 MB, and the gradient about 330 MB more.
+843 MB, and the gradient about 30 MB more.
 
 It then times ``h @ M.T`` for each recurrent weight block M of the two GRU
 layers (``U[:2n]`` and ``U[2n:]``: 3200 x 1600, 1600 x 1600, 1600 x 800 and
@@ -20,7 +20,8 @@ through the forward pass's ``_few_row_product``, best of ``REPEATS`` each.
 
 Prints one JSON line: the BLAS threads, the sizes, per V the parameter
 count, the size of ``gru1.W``, the bytes the gradient holds (the arrays
-its dense runs and factors lie in) and the seconds of each phase,
+its dense runs, factors and present columns lie in) and the seconds of
+each phase,
 and per block and row count the seconds of both products.  The BLAS variables are set to
 one thread before numpy is imported, whatever they were.
 """
@@ -42,7 +43,7 @@ import numpy as np
 from tanloss.corpus import Sample, pad_batch
 from tanloss.losses import tangent_loss_grad
 from tanloss.network import ModelSizes, _few_row_product, backward, forward, init_params
-from tanloss.optim import Product, RmsPropState, rmsprop_step
+from tanloss.optim import Columns, Product, RmsPropState, rmsprop_step
 
 VERBS, STATES = 8, 6
 VOCABS = [62, 2000, 8000]
@@ -89,8 +90,14 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
 
 def gradient_bytes(grads) -> int:
     """Bytes of the arrays a gradient from ``backward`` holds: once each,
-    the arrays its pieces (dense runs and factors) are views of."""
-    arrays = [f for p in grads.pieces for f in ((p.a, p.b) if isinstance(p, Product) else (p,))]
+    the arrays its pieces (dense runs, factors, and present columns with
+    their indices) are views of."""
+    def held(p):
+        if isinstance(p, Product):
+            return p.a, p.b
+        return (p.values, p.index) if isinstance(p, Columns) else (p,)
+
+    arrays = [f for p in grads.pieces for f in held(p)]
     owners = {id(o): o for o in (a if a.base is None else a.base for a in arrays)}
     return sum(o.nbytes for o in owners.values())
 

@@ -16,9 +16,11 @@ Conventions fixed here and relied on by the test suite:
     packed from separate arrays.  The RMSProp cache is a second buffer with
     that layout.  The gradient is not a third: ``backward`` returns it as
     pieces that tile the layout in order (``Gradients``): the gru1.U,
-    gru2.W and gru2.U gradients as the factor pairs whose products they
-    are, and the runs between them as views of one small dense buffer.  The
-    optimizer forms the products a row panel at a time.
+    gru2.W, gru2.U and head W1 gradients as the factor pairs whose products
+    they are, the gru1.W gradient as the columns of the tokens present, and
+    the runs between them (the biases and the heads' W2) as views of one
+    small dense buffer.  The optimizer forms the large pieces a row
+    panel at a time.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
   * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
@@ -59,9 +61,10 @@ Conventions fixed here and relied on by the test suite:
     still cannot change a bit.  Backward's products stay one GEMM each.
   * The one-hot input is never materialized in forward: input-to-hidden
     products select a column of W.  Its gradient is one GEMM of layer 1's
-    deltas with a one-hot matrix over the tokens present in the batch, so
-    its cost is bounded by the batch, not the vocabulary; the columns of
-    absent tokens are zero.
+    deltas with a one-hot matrix over the tokens present in the batch, kept
+    as those tokens' columns (``optim.Columns``): the columns of absent
+    tokens are zero and are never stored, so its cost and size are bounded
+    by the batch, not the vocabulary.
 
 Everything is float64 so finite-difference gradient checks are meaningful.
 """
@@ -80,7 +83,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optim import Product, RmsPropState, form_gradient
+from .optim import BLOCK, Columns, Product, RmsPropState, form_gradient
 
 CKPT_MAGIC = b"TANL"
 CKPT_VERSION = 1
@@ -243,23 +246,30 @@ def _split(data: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
-    """Uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)); zero biases."""
+    """Uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)); zero biases.
+
+    The weights are drawn in PARAM_NAMES order (gru1 W_z ... U_h, gru2
+    likewise, then each head's W1 and W2), each per gate with the draws of
+    rng.uniform(-s, s, shape) from one ``np.random.default_rng(seed)``.
+    """
     for field, value in vars(sizes).items():
         if value <= 0:
             raise ValueError(f"size {field} must be positive, got {value}")
     rng = np.random.default_rng(seed)
-    params = ModelParams.new(sizes)
-    # Per gate and per head weight, in place, in the order and with the
-    # draws of rng.uniform(-limit, limit, shape).
-    weights = [getattr(layer, f"{kind}_{gate}") for layer in (params.gru1, params.gru2)
-               for kind in "WU" for gate in GATES]
-    weights += [getattr(head, n) for head in (params.verb_head, params.state_head)
-                for n in ("W1", "W2")]
-    for out in weights:
-        limit = np.sqrt(6.0 / sum(out.shape))
-        rng.random(out=out)
-        out *= 2.0 * limit
-        out -= limit
+    params = ModelParams.new(sizes, np.empty)
+    for arr in params.flat().values():
+        flat = arr.reshape(-1)
+        if arr.ndim == 1:
+            flat.fill(0.0)
+            continue
+        # In place, BLOCK draws at a time so that scaling them finds them in
+        # cache: the same stream, so the same values, as one call.
+        limit = np.sqrt(6.0 / sum(arr.shape))
+        for lo in range(0, flat.size, BLOCK):
+            block = flat[lo:lo + BLOCK]
+            rng.random(out=block)
+            block *= 2.0 * limit
+            block -= limit
     return params
 
 
@@ -399,18 +409,18 @@ def forward(params: ModelParams, batch):
     return verb_head[2], state_head[2], trace
 
 
-def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad,
-                   grads: MlpHeadParams) -> np.ndarray:
-    """Writes one head's gradients into ``grads``; returns its gradient with
-    respect to ``h_final``."""
+def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad, b1: np.ndarray,
+                   W2: np.ndarray, b2: np.ndarray) -> tuple[Product, np.ndarray]:
+    """Writes one head's b1, W2 and b2 gradients into the given arrays;
+    returns its W1 gradient as the factor pair (d_a, h_final) and its
+    gradient with respect to ``h_final``."""
     a_pre, a, out = head_trace
     d_opre = np.asarray(out_grad, dtype=np.float64) * out * (1.0 - out)
     d_a = (d_opre @ head.W2) * (a_pre > 0)
-    np.matmul(d_a.T, h_final, out=grads.W1)
-    np.sum(d_a, axis=0, out=grads.b1)
-    np.matmul(d_opre.T, a, out=grads.W2)
-    np.sum(d_opre, axis=0, out=grads.b2)
-    return d_a @ head.W1
+    np.sum(d_a, axis=0, out=b1)
+    np.matmul(d_opre.T, a, out=W2)
+    np.sum(d_opre, axis=0, out=b2)
+    return Product(d_a, h_final), d_a @ head.W1
 
 
 def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
@@ -481,8 +491,10 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
 class Gradients(Mapping):
     """The gradient ``backward`` returns: PARAM_NAMES -> array.  ``pieces``
     tile the parameters' layout in order, the form ``rmsprop_step`` takes:
-    the gru1.U, gru2.W and gru2.U gradients as ``optim.Product`` factor
-    pairs, every other run of elements as a flat view of one dense buffer.
+    the gru1.W gradient as ``optim.Columns`` (the columns of the tokens in
+    the batch), the gru1.U, gru2.W, gru2.U and head W1 gradients as
+    ``optim.Product`` factor pairs, and every other run of elements (the
+    biases and the heads' W2) as a flat view of one dense buffer.
     Reading an array forms the whole gradient once, into a buffer laid out
     like the parameters, which is then the one piece."""
 
@@ -512,8 +524,10 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     """Exact reverse-mode gradients of the batch-summed loss with respect to
     every parameter, given dLoss/dOutput for each head.
 
-    The gru1.U, gru2.W and gru2.U gradients are returned as factor pairs,
-    the rest as views of one dense buffer (see ``Gradients``).  With
+    The gru1.W gradient is returned as the columns of the tokens present,
+    the gru1.U, gru2.W, gru2.U and head W1 gradients as factor pairs, the
+    rest as views of one dense buffer (see ``Gradients``), so that no
+    piece grows with the vocabulary.  With
     ``out``, a gradient buffer laid out like ``params`` (see
     ``ModelParams.like``), every gradient is formed into it.
     """
@@ -522,16 +536,17 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     ):
         raise ValueError("trace does not belong to this batch")
     g1, g2 = params.gru1, params.gru2
-    # Every array but gru1.U, gru2.W and gru2.U (fused arrays 1, 3 and 4),
-    # in layout order.
+    # The dense runs between the other pieces, in layout order: gru1.b,
+    # gru2.b, and each head's b1, W2 and b2 (fused arrays 2, 5, 7-9, 11-13).
     shapes = _shapes(params.sizes)
-    dense_shapes = [shapes[0], shapes[2], *shapes[5:]]
-    dense = np.empty(sum(map(math.prod, dense_shapes)))
-    W1, b1, b2, *heads = _split(dense, dense_shapes)
-    dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
-                             verb_out_grad, MlpHeadParams(*heads[:4]))
-    dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
-                              state_out_grad, MlpHeadParams(*heads[4:]))
+    runs = [shapes[2:3], shapes[5:6], shapes[7:10], shapes[11:]]
+    dense = _split(np.empty(sum(math.prod(x) for run in runs for x in run)),
+                   [(sum(map(math.prod, run)),) for run in runs])
+    (b1,), (b2,), verb, state = (_split(d, run) for d, run in zip(dense, runs))
+    verb_W1, dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
+                                      verb_out_grad, *verb)
+    state_W1, dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
+                                        state_out_grad, *state)
 
     dh2 = (dh_verb + dh_state)[trace.order]
     d2, u2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, b2)
@@ -540,18 +555,15 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     dh1 = np.zeros((len(trace.order), g1.U.shape[1]))
     d1, u1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, b1, dx=dx1)
     # Sum each token's input deltas with one one-hot GEMM over the tokens
-    # present (in increasing order), then place the sums in those tokens'
-    # columns of W.
+    # present (in increasing order): the values of those tokens' columns.
     present = np.flatnonzero(np.bincount(trace.tokens))
     which = np.zeros(present[-1] + 1, dtype=np.intp)
     which[present] = np.arange(len(present))
     one_hot = np.zeros((len(present), len(trace.tokens)))
     one_hot[which[trace.tokens], np.arange(len(trace.tokens))] = 1.0
-    W1.fill(0.0)
-    W1[:, present] = (one_hot @ d1).T
-    tail = W1.size + b1.size
-    return Gradients(params.sizes, [dense[:W1.size], *u1, dense[W1.size:tail],
-                                    Product(d2, trace.gru1.h_out), *u2, dense[tail:]], out)
+    W1 = Columns((one_hot @ d1).T, present, g1.W.shape)
+    return Gradients(params.sizes, [W1, *u1, dense[0], Product(d2, trace.gru1.h_out), *u2,
+                                    dense[1], verb_W1, dense[2], state_W1, dense[3]], out)
 
 
 # ---------------------------------------------------------------------------

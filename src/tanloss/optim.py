@@ -5,17 +5,19 @@ theta <- theta - lr * g / (sqrt(cache) + eps).
 
 Parameters and cache are ``ModelParams``, the same layout over one flat
 buffer each.  The gradient comes as ``backward`` produces it: pieces that
-tile the layout in order, each a run of elements of one dense buffer or a
-large weight gradient held as a factor pair (``Product``: the array is
-a.T @ b).  One walk (``_walk``) visits them in order, each dense run as it
-lies and each product one row panel of about CHUNK elements at a time,
-formed by one GEMM into a scratch buffer.  Forming the whole gradient, the
-finite scan and the step all take that walk, so no product exists whole on
-any path; the step updates each run and panel while it is in cache.  A
-gradient of at most CHUNK elements (toy size) is formed whole first and
-updated as one run.  A flat gradient buffer is the case of one piece.
-``ModelParams`` (from ``network``) is named in annotations only, so that
-``network`` can import from here.
+tile the layout in order, each a run of elements of one small dense buffer
+or an array held in a form whose size is bounded by the batch: a factor
+pair (``Product``: the array is a.T @ b) or the columns of the tokens
+present (``Columns``: zero outside them).  One walk (``_walk``) visits the
+pieces in order, each dense run as it lies and each other piece one row
+panel of about CHUNK elements at a time, formed into one scratch buffer: a
+product by one GEMM, columns by a zero fill and a scatter.  Forming the
+whole gradient, the finite scan and the step all take that walk, so no such
+piece exists whole on any path; the step updates each run and panel while
+it is in cache.  A gradient of at most CHUNK elements (toy size) is formed
+whole first and updated as one run.  A flat gradient buffer is the case of
+one piece.  ``ModelParams`` (from ``network``) is named in annotations
+only, so that ``network`` can import from here.
 """
 
 import math
@@ -51,6 +53,13 @@ class RmsPropState:
         return cls(cache=params.like(np.zeros_like(params.data)), lr=lr)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of ``x``: inf or nan when an element is, and may
+    be inf for finite elements above about 1e154."""
+    strided = x.ndim == 2 and not x.flags.c_contiguous
+    return math.sqrt(np.einsum("ij,ij->", x, x) if strided else np.vdot(x, x))
+
+
 @dataclass(eq=False, slots=True)
 class Product:
     """A gradient array held as two factors: it is a.T @ b, row-major."""
@@ -59,17 +68,46 @@ class Product:
     b: np.ndarray     # (K, cols)
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape[1], self.b.shape[1]
+
+    @property
     def size(self) -> int:
-        return self.a.shape[1] * self.b.shape[1]
+        return math.prod(self.shape)
+
+    def panel(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows [lo, hi) of the array, formed into ``out``."""
+        return np.matmul(self.a[:, lo:hi].T, self.b, out=out)
 
     def proven_finite(self) -> bool:
         """True when |a| |b| < 1e300 in the Frobenius norm, which bounds
         every element and every partial sum of a.T @ b (Cauchy-Schwarz): no
         element can then overflow.  A non-finite factor fails the test."""
-        def norm(x):
-            return math.sqrt(np.vdot(x, x) if x.flags.c_contiguous
-                             else np.einsum("ij,ij->", x, x))
-        return norm(self.a) * norm(self.b) < 1e300
+        return _norm(self.a) * _norm(self.b) < 1e300
+
+
+@dataclass(eq=False, slots=True)
+class Columns:
+    """A gradient array of the given ``shape`` that is zero but in the
+    columns ``index`` (increasing), which hold ``values``."""
+
+    values: np.ndarray    # (rows, len(index))
+    index: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def panel(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows [lo, hi) of the array, formed into ``out``."""
+        out.fill(0.0)
+        out[:, self.index] = self.values[lo:hi]
+        return out
+
+    def proven_finite(self) -> bool:
+        """True when the values' sum of squares is finite."""
+        return math.isfinite(_norm(self.values))
 
 
 def _panels(rows: int, cols: int, limit: int):
@@ -88,21 +126,21 @@ def _panels(rows: int, cols: int, limit: int):
 
 def _walk(pieces: list):
     """The gradient whose ``pieces`` tile the layout in order, as (offset,
-    values) pairs: a dense piece as one flat run, a product one row panel
-    (``_panels`` of CHUNK elements) at a time, formed by one GEMM into one
-    scratch buffer, which the next panel overwrites."""
+    values) pairs: a dense piece as one flat run, a ``Product`` or
+    ``Columns`` one row panel (``_panels`` of CHUNK elements) at a time,
+    formed into one scratch buffer, which the next panel overwrites."""
     # A panel of ``_panels`` holds at most its step plus one row.
-    formed = np.empty(max((min(p.a.shape[1], max(2, CHUNK // p.b.shape[1]) + 1) * p.b.shape[1]
-                           for p in pieces if isinstance(p, Product)), default=0))
+    formed = np.empty(max((min(rows, max(2, CHUNK // cols) + 1) * cols for rows, cols in
+                           (p.shape for p in pieces if not isinstance(p, np.ndarray))), default=0))
     at = 0
     for piece in pieces:
-        if isinstance(piece, Product):
-            cols = piece.b.shape[1]
-            for lo, hi in _panels(piece.a.shape[1], cols, CHUNK):
-                out = formed[:(hi - lo) * cols].reshape(-1, cols)
-                yield at + lo * cols, np.matmul(piece.a[:, lo:hi].T, piece.b, out=out).ravel()
-        else:
+        if isinstance(piece, np.ndarray):
             yield at, piece.ravel()
+        else:
+            cols = piece.shape[1]
+            for lo, hi in _panels(*piece.shape, CHUNK):
+                out = formed[:(hi - lo) * cols].reshape(-1, cols)
+                yield at + lo * cols, piece.panel(lo, hi, out).ravel()
         at += piece.size
 
 
@@ -124,11 +162,11 @@ def _coordinate(params: "ModelParams", i: int) -> str:
 
 def _check_finite(params: "ModelParams", pieces: list):
     """Raise ValueError naming the first non-finite gradient element in
-    layout order, if there is one.  A finite sum of squares (one BLAS dot
-    product) proves a dense piece finite, and ``proven_finite`` a product;
-    unless every piece is proven, the walk scans the whole gradient, so a
-    product too is scanned one row panel at a time."""
-    if all(p.proven_finite() if isinstance(p, Product) else np.isfinite(np.vdot(p, p))
+    layout order, if there is one.  A finite sum of squares proves a dense
+    piece finite, and ``proven_finite`` any other; unless every piece is
+    proven, the walk scans the whole gradient, so a product or columns piece
+    too is scanned one row panel at a time."""
+    if all(math.isfinite(_norm(p)) if isinstance(p, np.ndarray) else p.proven_finite()
            for p in pieces):
         return
     for at, g in _walk(pieces):
@@ -160,8 +198,8 @@ def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
     ``grads`` is what ``backward`` returns, an object whose ``pieces``
-    (flat dense arrays and ``Product``s) tile the parameters' layout in
-    order, or a flat gradient buffer laid out like ``params.data``.
+    (flat dense arrays, ``Product``s and ``Columns``) tile the parameters'
+    layout in order, or a flat gradient buffer laid out like ``params.data``.
     Non-finite gradients are rejected with the offending array and
     coordinate named, before any parameter moves.
     """
@@ -173,8 +211,9 @@ def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
                          f"match the parameters' shape {theta.shape}")
     if len(pieces) > 1 and theta.size <= CHUNK:
         # The whole gradient fits in CHUNK: formed, it is one flat piece.
-        # Walking its eight pieces instead cost toy-train 5 % of its
-        # train_samples_per_s (medians of ten runs, one BLAS thread).
+        # Walking its pieces instead (eight, when measured) cost toy-train
+        # 5 % of its train_samples_per_s (medians of ten runs, one BLAS
+        # thread).
         pieces = [form_gradient(pieces, np.empty(theta.size))]
     _check_finite(params, pieces)
     scratch = np.empty(min(BLOCK, theta.size))

@@ -70,6 +70,37 @@ class TestInit:
         assert params.state_head.W2.shape == (4, 5)
         assert np.all(params.gru1.b_z == 0)
 
+    # Sizes whose gru1 gates and head W1 span several draw blocks.
+    BLOCKS = ModelSizes(input_dim=50, verb_dim=3, state_dim=4, gru1_hidden=70, gru2_hidden=9,
+                        head_hidden=60)
+
+    @pytest.mark.parametrize("block", [7, 1000, network.BLOCK])
+    def test_each_weight_is_one_uniform_draw_in_the_documented_order(self, block, monkeypatch):
+        monkeypatch.setattr(network, "BLOCK", block)
+        params = init_params(self.BLOCKS, seed=13)
+        rng = np.random.default_rng(13)
+        names = [f"{layer}.{kind}_{gate}" for layer in ("gru1", "gru2") for kind in "WU"
+                 for gate in "zrh"]
+        names += [f"{head}.{w}" for head in ("verb_head", "state_head") for w in ("W1", "W2")]
+        weights = params.flat()
+        for name in names:
+            shape = weights[name].shape
+            limit = np.sqrt(6.0 / sum(shape))
+            assert weights[name].tobytes() == rng.uniform(-limit, limit, shape).tobytes(), name
+
+    def test_every_bias_is_zero_whatever_the_buffer_held(self, monkeypatch):
+        # A buffer full of NaN in place of the fresh one: init must write
+        # every element, the biases too.
+        new = ModelParams.new.__func__
+        monkeypatch.setattr(ModelParams, "new", classmethod(
+            lambda cls, sizes, alloc=None: new(cls, sizes, lambda n: np.full(n, np.nan))))
+        params = init_params(self.BLOCKS, seed=2)
+        biases = {name: arr for name, arr in params.flat().items() if arr.ndim == 1}
+        assert len(biases) == 2 * 3 + 2 * 2
+        for name, arr in biases.items():
+            assert np.all(arr == 0.0), name
+        assert np.all(np.isfinite(params.data))
+
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             init_params(ModelSizes(input_dim=0, verb_dim=2, state_dim=2), seed=0)
@@ -166,8 +197,16 @@ class TestFlatBuffer:
                 tangent_loss_grad(batch.state_labels, state))
         grads = backward(*args)
         assert list(grads) == list(PARAM_NAMES) and len(grads) == len(PARAM_NAMES)
-        dense = [p for p in grads.pieces if not isinstance(p, optim.Product)]
-        assert len(grads.pieces) == 8 and sum(p.size for p in dense) < params.data.size / 10
+        dense = [p for p in grads.pieces if isinstance(p, np.ndarray)]
+        # gru1.W as columns, five GRU and two head W1 products, and the dense
+        # runs between them: the biases and the heads' W2 and b2.
+        assert [type(p).__name__ for p in grads.pieces] == (
+            ["Columns"] + ["Product"] * 2 + ["ndarray"] + ["Product"] * 3
+            + ["ndarray", "Product"] * 2 + ["ndarray"])
+        head = SPLIT.head_hidden
+        assert sum(p.size for p in dense) == (3 * (SPLIT.gru1_hidden + SPLIT.gru2_hidden)
+                                              + (head + 1) * (SPLIT.verb_dim + SPLIT.state_dim)
+                                              + 2 * head)
         assert all(p.base is dense[0].base for p in dense)
         out = params.like(np.full_like(params.data, np.nan))
         (piece,) = backward(*args, out=out).pieces
@@ -517,6 +556,33 @@ class TestBackward:
                 np.testing.assert_allclose(column, d1[trace.tokens == token].sum(axis=0),
                                            rtol=1e-12, atol=1e-15 * np.abs(d1).max())
         assert (trace.tokens == 1).sum() == 4
+
+    def test_backward_allocates_less_than_one_input_weight_block(self):
+        # A vocabulary of 20 000 tokens: the gru1.W gradient is 12 x 20 000,
+        # 1.92 MB dense, of which a batch of three sentences touches at
+        # most 12 columns.
+        sizes = ModelSizes(input_dim=20_000, verb_dim=3, state_dim=2, gru1_hidden=4,
+                           gru2_hidden=3, head_hidden=5)
+        params = init_params(sizes, seed=1)
+        batch = pad_batch([Sample(tokens, np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0]))
+                           for tokens in ([19_998, 3, 17], [5, 19_998, 12_000, 7], [11])],
+                          pad_index=19_999)
+        verb, state, trace = forward(params, batch)
+        args = (params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+                tangent_loss_grad(batch.state_labels, state))
+        tracemalloc.start()
+        try:
+            grads = backward(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.gru1.W.nbytes
+        # The same gradient as a flat buffer: the absent columns are zero.
+        out = params.like(np.full_like(params.data, np.nan))
+        backward(*args, out=out)
+        for name, arr in out.flat().items():
+            assert grads[name].tobytes() == arr.tobytes(), name
+        assert np.count_nonzero(np.any(out.gru1.W != 0, axis=0)) == 7
 
     def test_trace_batch_mismatch_rejected(self):
         params = init_params(TOY, seed=0)

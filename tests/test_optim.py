@@ -165,6 +165,10 @@ def products(grads):
     return [p for p in grads.pieces if isinstance(p, optim.Product)]
 
 
+def columns(grads):
+    return [p for p in grads.pieces if isinstance(p, optim.Columns)]
+
+
 def batch_gradient(params, batch, out=None):
     verb, state, trace = forward(params, batch)
     return backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
@@ -189,7 +193,8 @@ class TestFactoredGradient:
                     rmsprop_step(params, full.data, state)
                 else:
                     grads = batch_gradient(params, batch)
-                    assert len(products(grads)) == 5 and len(grads.pieces) == 8
+                    assert len(products(grads)) == 7 and len(columns(grads)) == 1
+                    assert len(grads.pieces) == 12
                     rmsprop_step(params, grads, state)
             runs.append((params.data.tobytes(), state.cache.data.tobytes()))
         assert runs[0] == runs[1]
@@ -198,10 +203,11 @@ class TestFactoredGradient:
         grads = batch_gradient(init_params(FACTORED_SIZES[1], seed=4),
                                random_batch(FACTORED_SIZES[1], np.random.default_rng(0),
                                             [3, 8, 5]))
-        for p in products(grads):
-            rows, cols = p.a.shape[1], p.b.shape[1]
+        gru = products(grads)[:5]       # the heads' W1 (20 x 400) fit in one panel
+        for p in products(grads) + columns(grads):
+            rows, cols = p.shape
             panels = list(optim._panels(rows, cols, 1 << 14))
-            assert len(panels) > 2
+            assert len(panels) > 2 or not any(p is q for q in gru)
             # The panels tile the rows in order, each within the limit and
             # none a lone row.
             assert [lo for lo, _ in panels] == [0] + [hi for _, hi in panels[:-1]]
@@ -233,6 +239,30 @@ class TestFactoredGradient:
         array = ["gru1.U", "gru1.U", "gru2.W", "gru2.U", "gru2.U"][product]
         assert re.fullmatch(rf"non-finite gradient at {re.escape(array)}_[zrh]\[\d+, \d+\]",
                             str(factored.value))
+        assert params.data.tobytes() == before[0].tobytes()
+        assert state.cache.data.tobytes() == before[1].tobytes()
+
+    # With CHUNK cut to 2**14 the toy-size step walks the columns piece
+    # itself instead of a gradient formed whole.
+    @pytest.mark.parametrize("chunk", [1 << 14, optim.CHUNK])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_non_finite_input_column_is_named_at_its_token_and_moves_nothing(self, seed, chunk,
+                                                                             monkeypatch):
+        monkeypatch.setattr(optim, "CHUNK", chunk)
+        sizes = FACTORED_SIZES[0]
+        rng = np.random.default_rng(seed)
+        params = init_params(sizes, seed=1)
+        state = RmsPropState.fresh(params)
+        state.cache.data[:] = rng.random(params.data.size)
+        grads = batch_gradient(params, random_batch(sizes, rng, [4, 7, 2, 5]))
+        (cols,) = columns(grads)
+        row, j = int(rng.integers(cols.values.shape[0])), int(rng.integers(len(cols.index)))
+        cols.values[row, j] = np.nan if seed % 2 else -np.inf
+        n = sizes.gru1_hidden
+        before = params.data.copy(), state.cache.data.copy()
+        with pytest.raises(ValueError, match=re.escape(
+                f"gru1.W_{'zrh'[row // n]}[{row % n}, {int(cols.index[j])}]")):
+            rmsprop_step(params, grads, state)
         assert params.data.tobytes() == before[0].tobytes()
         assert state.cache.data.tobytes() == before[1].tobytes()
 
@@ -296,6 +326,11 @@ def test_the_walk_visits_the_layout_once_in_order_in_panels(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     params = init_params(sizes, seed=0)
     grads = batch_gradient(params, random_batch(sizes, rng, lengths))
+    # A drawn set of present columns, any of them, in place of the batch's.
+    shape = params.gru1.W.shape
+    index = np.array(data.draw(st.lists(st.integers(0, shape[1] - 1), unique=True)), dtype=np.intp)
+    index.sort()
+    grads.pieces[0] = optim.Columns(rng.normal(size=(shape[0], len(index))), index, shape)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optim, "CHUNK", chunk)
         runs = [(at, g.copy()) for at, g in optim._walk(grads.pieces)]
@@ -306,8 +341,8 @@ def test_the_walk_visits_the_layout_once_in_order_in_panels(data):
     at = 0
     for piece in grads.pieces:
         mine = [g for start, g in runs if at <= start < at + piece.size]
-        if isinstance(piece, optim.Product):
-            rows, cols = piece.a.shape[1], piece.b.shape[1]
+        if not isinstance(piece, np.ndarray):
+            rows, cols = piece.shape
             panel_rows = [g.size // cols for g in mine]
             assert all(g.size % cols == 0 for g in mine) and sum(panel_rows) == rows
             # No panel is a lone row unless the product is one row; above 2
@@ -316,9 +351,15 @@ def test_the_walk_visits_the_layout_once_in_order_in_panels(data):
             assert all(k >= min(2, rows) for k in panel_rows)
             assert all(k <= 2 or k * cols <= chunk for k in panel_rows[:-1])
             assert panel_rows[-1] <= max(2, chunk // cols) + 1
+        if isinstance(piece, optim.Product):
             whole = (piece.a.T @ piece.b).ravel()
             np.testing.assert_allclose(np.concatenate(mine), whole, rtol=1e-12,
                                        atol=1e-12 * np.abs(whole).max())
+        elif isinstance(piece, optim.Columns):
+            # The values in their columns, zeros elsewhere, bit for bit.
+            whole = np.zeros(piece.shape)
+            whole[:, piece.index] = piece.values
+            assert np.concatenate(mine).tobytes() == whole.tobytes()
         else:
             (run,) = mine
             assert run.tobytes() == piece.tobytes()

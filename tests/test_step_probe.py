@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tanloss.network import ModelParams, ModelSizes
-from tanloss.optim import Product
+from tanloss.optim import Columns, Product
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "step_probe.py"
 
@@ -31,10 +31,10 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
         assert r["vocab"] == vocab
         assert r["parameters"] == ModelParams.new(sizes).data.size
         assert r["gru1_W"] == 3 * 6 * vocab
-        # The dense part (every array but gru1.U, gru2.W and gru2.U), then
-        # the factors.
-        products = 3 * 6 * 6 + 3 * 4 * 6 + 3 * 4 * 4
-        assert r["gradient_bytes"] > 8 * (r["parameters"] - products)
+        # The dense part (the biases and the heads' W2 and b2), then the
+        # factors and the present columns of gru1.W (at least one).
+        dense = 3 * 6 + 3 * 4 + (3 + 8 * 3 + 8) + (3 + 6 * 3 + 6)
+        assert r["gradient_bytes"] > 8 * (dense + 3 * 6)
         phases = [r["forward_s"], r["backward_s"], r["rmsprop_step_s"]]
         assert min(phases) > 0
         assert r["step_s"] >= sum(phases) * (1 - 1e-9)
@@ -42,9 +42,11 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
 
 def test_gradient_bytes_counts_each_array_once(step_probe):
     dense, deltas, h = np.zeros(7), np.zeros((5, 12)), np.zeros((5, 4))
-    grads = SimpleNamespace(pieces=[dense[:3], Product(deltas[1:, :8], h[1:]), dense[3:],
+    present, index = np.zeros((2, 6)), np.array([0, 3], dtype=np.int64)
+    grads = SimpleNamespace(pieces=[Columns(present.T, index, (6, 9)), dense[:3],
+                                    Product(deltas[1:, :8], h[1:]), dense[3:],
                                     Product(deltas[1:, 8:], h[1:] * 2)])
-    assert step_probe.gradient_bytes(grads) == 8 * (7 + 60 + 20 + 16)
+    assert step_probe.gradient_bytes(grads) == 8 * (12 + 2 + 7 + 60 + 20 + 16)
 
 
 def test_products_time_each_recurrent_block_and_row_count(step_probe):
