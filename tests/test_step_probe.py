@@ -42,8 +42,8 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
 
 def test_gradient_bytes_counts_each_array_once(step_probe):
     dense, deltas, h = np.zeros(7), np.zeros((5, 12)), np.zeros((5, 4))
-    present, index = np.zeros((2, 6)), np.array([0, 3], dtype=np.int64)
-    grads = SimpleNamespace(pieces=[Columns(present.T, index, (6, 9)), dense[:3],
+    values, index = np.zeros((2, 6)), np.array([0, 3], dtype=np.int64)
+    grads = SimpleNamespace(pieces=[Columns(values.T, index, (6, 9)), dense[:3],
                                     Product(deltas[1:, :8], h[1:]), dense[3:],
                                     Product(deltas[1:, 8:], h[1:] * 2)])
     assert step_probe.gradient_bytes(grads) == 8 * (12 + 2 + 7 + 60 + 20 + 16)
