@@ -32,8 +32,8 @@ Conventions fixed here and relied on by the test suite:
     k_t running rows of each step, sum(lengths) rows in all): layer 1 runs
     over every step, then layer 2's input projections for all steps are two
     GEMMs (z and r, then hc).  Backward sweeps layer 2, turns its gate deltas into layer 1's
-    input gradient with one GEMM, sweeps layer 1, and leaves each large
-    weight gradient as the factors of one product over all packed steps.
+    input gradient with one GEMM, sweeps layer 1, and leaves the U and
+    gru2.W gradients as the factors of products over all packed steps.
   * A layer's trace holds z and r in one array, hc in another and h' in a
     third: 4n values per packed row, so the rows of a step are one
     contiguous block of each and the step's numpy calls run on contiguous
