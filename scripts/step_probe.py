@@ -20,7 +20,7 @@ through the forward pass's ``_few_row_product``, best of ``REPEATS`` each.
 
 Prints one JSON line: the BLAS threads, the sizes, per V the parameter
 count, the size of ``gru1.W``, the bytes the gradient holds (the arrays
-its dense runs, factors and present columns lie in) and the seconds of
+its flat arrays, factors and present columns lie in) and the seconds of
 each phase,
 and per block and row count the seconds of both products.  The BLAS variables are set to
 one thread before numpy is imported, whatever they were.
@@ -76,7 +76,7 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
                          tangent_loss_grad(batch.state_labels, state_pred) / rows)
         t2 = time.perf_counter()
         del trace
-        rmsprop_step(params, grads, opt)
+        rmsprop_step(params, grads.pieces, opt)
         t3 = time.perf_counter()
         held = gradient_bytes(grads)
         del grads
@@ -90,8 +90,8 @@ def probe(vocab: int, sizes: list[int], rows: int, repeats: int, seed: int) -> d
 
 def gradient_bytes(grads) -> int:
     """Bytes of the arrays a gradient from ``backward`` holds: once each,
-    the arrays its pieces (dense runs, factors, and present columns with
-    their indices) are views of."""
+    the arrays its pieces (small flat arrays, factors, and present columns
+    with their indices) are or are views of."""
     def held(p):
         if isinstance(p, Product):
             return p.a, p.b

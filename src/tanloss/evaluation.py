@@ -68,26 +68,24 @@ class EvalReport:
         }
 
 
-def predictions(params: ModelParams, samples: list[Sample], pad_index: int,
-                batch_size: int = INFERENCE_BATCH):
+def predictions(params: ModelParams, samples: list[Sample], pad_index: int):
     """``((verb_labels, state_labels), (verb_outputs, state_outputs))`` for
     ``samples``: four matrices with one row per sample, in input order."""
     # [:2] drops each batch's trace before the next batch's forward runs.
     rows = [(batch.verb_labels, batch.state_labels, *forward(params, batch)[:2])
-            for batch in make_batches(samples, batch_size, pad_index=pad_index,
+            for batch in make_batches(samples, INFERENCE_BATCH, pad_index=pad_index,
                                       max_tokens=INFERENCE_ROWS)]
     verb_labels, state_labels, verb_outputs, state_outputs = map(np.concatenate, zip(*rows))
     return (verb_labels, state_labels), (verb_outputs, state_outputs)
 
 
 def evaluate(params: ModelParams, test_set: list[Sample], pad_index: int,
-             threshold: float = 0.5, mode: str = "subset",
-             batch_size: int = INFERENCE_BATCH) -> EvalReport:
+             threshold: float = 0.5, mode: str = "subset") -> EvalReport:
     """Per-head one-missing accuracy over a test set."""
     if not test_set:
         raise ValueError("cannot evaluate an empty test set")
     (verb_labels, state_labels), (verb_outputs, state_outputs) = predictions(
-        params, test_set, pad_index, batch_size)
+        params, test_set, pad_index)
     verb_ok = one_missing_match(binarize(verb_outputs, threshold), verb_labels != 0, mode)
     state_ok = one_missing_match(binarize(state_outputs, threshold), state_labels != 0, mode)
     n = len(verb_ok)

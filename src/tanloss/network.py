@@ -18,9 +18,8 @@ Conventions fixed here and relied on by the test suite:
     pieces that tile the layout in order (``Gradients``): the gru1.U,
     gru2.W, gru2.U and head W1 gradients as the factor pairs whose products
     they are, the gru1.W gradient as the columns of the tokens present, and
-    the runs between them (the biases and the heads' W2) as views of one
-    small dense buffer.  The optimizer forms the large pieces a row
-    panel at a time.
+    the biases and the heads' W2 as small flat arrays of their own.  The
+    optimizer forms the large pieces a row panel at a time.
   * Heads: sigmoid(W2 @ relu(W1 @ h + b1) + b2), so outputs live in (0, 1)
     and match the loss domain.
   * A batch is unrolled to max(lengths) steps, whatever it is padded to, and
@@ -206,9 +205,9 @@ class ModelParams:
         self.verb_head, self.state_head = MlpHeadParams(*arrays[6:10]), MlpHeadParams(*arrays[10:])
 
     @classmethod
-    def new(cls, sizes: ModelSizes, alloc=np.zeros) -> "ModelParams":
-        """Parameters of the given sizes over a new buffer from ``alloc``."""
-        return cls(alloc(_count(sizes)), sizes)
+    def new(cls, sizes: ModelSizes) -> "ModelParams":
+        """Parameters of the given sizes over a new, unfilled buffer."""
+        return cls(np.empty(_count(sizes)), sizes)
 
     def like(self, data: np.ndarray) -> "ModelParams":
         """This layout over another flat buffer, such as a gradient buffer."""
@@ -256,7 +255,7 @@ def init_params(sizes: ModelSizes, seed: int) -> ModelParams:
         if value <= 0:
             raise ValueError(f"size {field} must be positive, got {value}")
     rng = np.random.default_rng(seed)
-    params = ModelParams.new(sizes, np.empty)
+    params = ModelParams.new(sizes)
     for arr in params.flat().values():
         flat = arr.reshape(-1)
         if arr.ndim == 1:
@@ -409,18 +408,15 @@ def forward(params: ModelParams, batch):
     return verb_head[2], state_head[2], trace
 
 
-def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad, b1: np.ndarray,
-                   W2: np.ndarray, b2: np.ndarray) -> tuple[Product, np.ndarray]:
-    """Writes one head's b1, W2 and b2 gradients into the given arrays;
-    returns its W1 gradient as the factor pair (d_a, h_final) and its
-    gradient with respect to ``h_final``."""
+def _head_backward(head: MlpHeadParams, h_final, head_trace, out_grad) -> tuple[list, np.ndarray]:
+    """Returns one head's gradient pieces in layout order (its W1 gradient
+    as the factor pair (d_a, h_final), then its b1, raveled W2 and b2
+    gradients as flat arrays) and its gradient with respect to ``h_final``."""
     a_pre, a, out = head_trace
     d_opre = np.asarray(out_grad, dtype=np.float64) * out * (1.0 - out)
     d_a = (d_opre @ head.W2) * (a_pre > 0)
-    np.sum(d_a, axis=0, out=b1)
-    np.matmul(d_opre.T, a, out=W2)
-    np.sum(d_opre, axis=0, out=b2)
-    return Product(d_a, h_final), d_a @ head.W1
+    return ([Product(d_a, h_final), d_a.sum(axis=0), (d_opre.T @ a).ravel(),
+             d_opre.sum(axis=0)], d_a @ head.W1)
 
 
 def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
@@ -435,14 +431,13 @@ def _entering_state(h_out: np.ndarray, blocks: list) -> np.ndarray:
 
 
 def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
-                    b_grad: np.ndarray,
-                    dx: np.ndarray | None = None) -> tuple[np.ndarray, list[Product]]:
+                    dx: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """Sweep one layer back over the packed steps, starting from dL/dh in
     ``dh`` (B, n, running order; updated in place).  ``dx`` adds the
     gradient that arrives through each step's output from the layer above.
-    Writes the layer's b gradient into ``b_grad`` and returns the
-    pre-activation deltas [dz; dr; dhc] (N, 3n) and the U gradient as two
-    products: its z/r rows and its h rows.
+    Returns the pre-activation deltas [dz; dr; dhc] (N, 3n) and the layer's
+    U and b gradient pieces in layout order: U as two products, its z/r
+    rows and its h rows, and b as a flat array.
 
     The trace factors of the deltas (see the module docstring) are formed
     for every packed row before the sweep, in the deltas buffer itself, and
@@ -479,37 +474,36 @@ def _layer_backward(U: np.ndarray, lt: LayerTrace, blocks: list, dh: np.ndarray,
         g += d_rh
         g += deltas[lo:hi, :2 * n] @ U[:2 * n]
     del keep
-    np.sum(deltas, axis=0, out=b_grad)
     # U's rows are products over the packed steps, of the deltas with h
     # (z, r) and with r h (h).  Step 0's rows have h = r h = 0: they start
     # after it.
     lo = blocks[1][0] if len(blocks) > 1 else len(deltas)
     return deltas, [Product(deltas[lo:, :2 * n], h[lo:]),
-                    Product(deltas[lo:, 2 * n:], h[lo:] * r[lo:])]
+                    Product(deltas[lo:, 2 * n:], h[lo:] * r[lo:]), deltas.sum(axis=0)]
 
 
 class Gradients(Mapping):
-    """The gradient ``backward`` returns: PARAM_NAMES -> array.  ``pieces``
-    tile the parameters' layout in order, the form ``rmsprop_step`` takes:
-    the gru1.W gradient as ``optim.Columns`` (the columns of the tokens in
-    the batch), the gru1.U, gru2.W, gru2.U and head W1 gradients as
-    ``optim.Product`` factor pairs, and every other run of elements (the
-    biases and the heads' W2) as a flat view of one dense buffer.
-    Reading an array forms the whole gradient once, into a buffer laid out
-    like the parameters, which is then the one piece."""
+    """The gradient ``backward`` returns.  ``pieces`` tile the parameters'
+    layout in order, the form ``rmsprop_step`` takes: the gru1.W gradient
+    as ``optim.Columns`` (the columns of the tokens in the batch), the
+    gru1.U, gru2.W, gru2.U and head W1 gradients as ``optim.Product``
+    factor pairs, and the biases and the heads' W2 as flat arrays.  As a
+    mapping, PARAM_NAMES -> array, it reads ``formed``.  Reading it leaves
+    ``pieces`` as they were."""
 
-    def __init__(self, sizes: ModelSizes, pieces: list, out: ModelParams | None = None):
+    def __init__(self, sizes: ModelSizes, pieces: list):
         self.sizes, self.pieces = sizes, pieces
-        self._arrays = None
-        if out is not None:
-            self._form(out)
 
-    def _form(self, out: ModelParams) -> dict[str, np.ndarray]:
-        self.pieces, self._arrays = [form_gradient(self.pieces, out.data)], out.flat()
-        return self._arrays
+    @functools.cached_property
+    def formed(self) -> ModelParams:
+        """The whole gradient, formed once into a buffer laid out like the
+        parameters."""
+        formed = ModelParams.new(self.sizes)
+        form_gradient(self.pieces, formed.data)
+        return formed
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return (self._arrays or self._form(ModelParams.new(self.sizes, np.empty)))[name]
+        return self.formed.flat()[name]
 
     def __iter__(self):
         return iter(PARAM_NAMES)
@@ -519,41 +513,32 @@ class Gradients(Mapping):
 
 
 def backward(params: ModelParams, batch, trace: ForwardTrace,
-             verb_out_grad: np.ndarray, state_out_grad: np.ndarray,
-             out: ModelParams | None = None) -> Gradients:
+             verb_out_grad: np.ndarray, state_out_grad: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of the batch-summed loss with respect to
     every parameter, given dLoss/dOutput for each head.
 
-    The gru1.W gradient is returned as the columns of the tokens present,
-    the gru1.U, gru2.W, gru2.U and head W1 gradients as factor pairs, the
-    rest as views of one dense buffer (see ``Gradients``), so that no
-    piece grows with the vocabulary.  With
-    ``out``, a gradient buffer laid out like ``params`` (see
-    ``ModelParams.like``), every gradient is formed into it.
+    The gradient comes as its pieces in layout order (see ``Gradients``):
+    the gru1.W gradient as the columns of the tokens present, the gru1.U,
+    gru2.W, gru2.U and head W1 gradients as factor pairs, and the biases
+    and the heads' W2 as eight small flat arrays, so that no piece grows
+    with the vocabulary.
     """
     if trace.token_matrix is not batch.token_matrix and not np.array_equal(
         trace.token_matrix, batch.token_matrix
     ):
         raise ValueError("trace does not belong to this batch")
     g1, g2 = params.gru1, params.gru2
-    # The dense runs between the other pieces, in layout order: gru1.b,
-    # gru2.b, and each head's b1, W2 and b2 (fused arrays 2, 5, 7-9, 11-13).
-    shapes = _shapes(params.sizes)
-    runs = [shapes[2:3], shapes[5:6], shapes[7:10], shapes[11:]]
-    dense = _split(np.empty(sum(math.prod(x) for run in runs for x in run)),
-                   [(sum(map(math.prod, run)),) for run in runs])
-    (b1,), (b2,), verb, state = (_split(d, run) for d, run in zip(dense, runs))
-    verb_W1, dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
-                                      verb_out_grad, *verb)
-    state_W1, dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
-                                        state_out_grad, *state)
+    verb, dh_verb = _head_backward(params.verb_head, trace.h_final, trace.verb_head,
+                                   verb_out_grad)
+    state, dh_state = _head_backward(params.state_head, trace.h_final, trace.state_head,
+                                     state_out_grad)
 
     dh2 = (dh_verb + dh_state)[trace.order]
-    d2, u2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2, b2)
+    d2, ub2 = _layer_backward(g2.U, trace.gru2, trace.blocks, dh2)
     dx1 = d2 @ g2.W
 
     dh1 = np.zeros((len(trace.order), g1.U.shape[1]))
-    d1, u1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, b1, dx=dx1)
+    d1, ub1 = _layer_backward(g1.U, trace.gru1, trace.blocks, dh1, dx=dx1)
     # Sum each token's input deltas with one one-hot GEMM over the tokens
     # present (in increasing order): the values of those tokens' columns.
     present = np.flatnonzero(np.bincount(trace.tokens))
@@ -562,8 +547,8 @@ def backward(params: ModelParams, batch, trace: ForwardTrace,
     one_hot = np.zeros((len(present), len(trace.tokens)))
     one_hot[which[trace.tokens], np.arange(len(trace.tokens))] = 1.0
     W1 = Columns((one_hot @ d1).T, present, g1.W.shape)
-    return Gradients(params.sizes, [W1, *u1, dense[0], Product(d2, trace.gru1.h_out), *u2,
-                                    dense[1], verb_W1, dense[2], state_W1, dense[3]], out)
+    return Gradients(params.sizes, [W1, *ub1, Product(d2, trace.gru1.h_out), *ub2, *verb,
+                                    *state])
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +714,7 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                                   f"{meta['fingerprint']} ({size} bytes, not {expected})")
         expect(struct.pack("<I", count), f"checkpoint does not hold {count} arrays")
 
-        params = ModelParams.new(sizes, np.empty)
+        params = ModelParams.new(sizes)
         cache = params.like(np.empty_like(params.data)) if optimizer and stored else None
         for name, arr in _table(params, cache).items():
             kind = "optimizer" if name.startswith("rmsprop.") else "parameter"

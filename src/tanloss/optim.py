@@ -4,20 +4,20 @@ Per coordinate: cache <- rho*cache + (1-rho)*g^2, then
 theta <- theta - lr * g / (sqrt(cache) + eps).
 
 Parameters and cache are ``ModelParams``, the same layout over one flat
-buffer each.  The gradient comes as ``backward`` produces it: pieces that
-tile the layout in order, each a run of elements of one small dense buffer
-or an array held in a form whose size is bounded by the batch: a factor
-pair (``Product``: the array is a.T @ b) or the columns of the tokens
-present (``Columns``: zero outside them).  One walk (``_walk``) visits the
-pieces in order, each dense run as it lies and each other piece one row
-panel of about CHUNK elements at a time, formed into one scratch buffer: a
-product by one GEMM, columns by a zero fill and a scatter.  Forming the
-whole gradient, the finite scan and the step all take that walk, so no such
-piece exists whole on any path; the step updates each run and panel while
-it is in cache.  A gradient of at most CHUNK elements (toy size) is formed
-whole first and updated as one run.  A flat gradient buffer is the case of
-one piece.  ``ModelParams`` (from ``network``) is named in annotations
-only, so that ``network`` can import from here.
+buffer each.  The gradient is an ordered list of pieces that tile the
+layout, as ``backward`` returns it: each piece a flat array or an array
+held in a form whose size is bounded by the batch, a factor pair
+(``Product``: the array is a.T @ b) or the columns of the tokens present
+(``Columns``: zero outside them).  A flat gradient buffer is the list of
+one piece.  One walk (``_walk``) visits the pieces in order, each flat
+array as it lies and each other piece one row panel of about CHUNK
+elements at a time, formed into one scratch buffer: a product by one GEMM,
+columns by a zero fill and a scatter.  Forming the whole gradient, the
+finite scan and the step all take that walk, so no such piece exists whole
+on any path; the step updates each array and panel while it is in cache.
+A gradient of at most CHUNK elements (toy size) is formed whole first and
+updated as one array.  ``ModelParams`` (from ``network``) is named in
+annotations only, so that ``network`` can import from here.
 """
 
 import math
@@ -126,7 +126,7 @@ def _panels(rows: int, cols: int, limit: int):
 
 def _walk(pieces: list):
     """The gradient whose ``pieces`` tile the layout in order, as (offset,
-    values) pairs: a dense piece as one flat run, a ``Product`` or
+    values) pairs: a flat array as it lies, a ``Product`` or
     ``Columns`` one row panel (``_panels`` of CHUNK elements) at a time,
     formed into one scratch buffer, which the next panel overwrites."""
     # A panel of ``_panels`` holds at most its step plus one row.
@@ -135,7 +135,7 @@ def _walk(pieces: list):
     at = 0
     for piece in pieces:
         if isinstance(piece, np.ndarray):
-            yield at, piece.ravel()
+            yield at, piece
         else:
             cols = piece.shape[1]
             for lo, hi in _panels(*piece.shape, CHUNK):
@@ -162,8 +162,8 @@ def _coordinate(params: "ModelParams", i: int) -> str:
 
 def _check_finite(params: "ModelParams", pieces: list):
     """Raise ValueError naming the first non-finite gradient element in
-    layout order, if there is one.  A finite sum of squares proves a dense
-    piece finite, and ``proven_finite`` any other; unless every piece is
+    layout order, if there is one.  A finite sum of squares proves a flat
+    array finite, and ``proven_finite`` any other; unless every piece is
     proven, the walk scans the whole gradient, so a product or columns piece
     too is scanned one row panel at a time."""
     if all(math.isfinite(_norm(p)) if isinstance(p, np.ndarray) else p.proven_finite()
@@ -194,22 +194,21 @@ def _update(theta: np.ndarray, cache: np.ndarray, g: np.ndarray, state: RmsPropS
         th -= buf
 
 
-def rmsprop_step(params: "ModelParams", grads, state: RmsPropState):
+def rmsprop_step(params: "ModelParams", pieces: list, state: RmsPropState):
     """Apply one update in place; returns (params, state) for convenience.
 
-    ``grads`` is what ``backward`` returns, an object whose ``pieces``
-    (flat dense arrays, ``Product``s and ``Columns``) tile the parameters'
-    layout in order, or a flat gradient buffer laid out like ``params.data``.
-    Non-finite gradients are rejected with the offending array and
-    coordinate named, before any parameter moves.
+    ``pieces`` tile the parameters' layout in order, as ``backward``
+    returns them (``Gradients.pieces``): flat arrays, ``Product``s and
+    ``Columns``.  Non-finite gradients are rejected with the offending
+    array and coordinate named, before any parameter moves.
     """
     theta, cache = params.data, state.cache.data
-    pieces = [grads] if isinstance(grads, np.ndarray) else grads.pieces
-    shape = grads.shape if isinstance(grads, np.ndarray) else (sum(p.size for p in pieces),)
-    if shape != theta.shape or cache.shape != theta.shape:
-        raise ValueError(f"gradient shape {shape} and cache shape {cache.shape} must "
-                         f"match the parameters' shape {theta.shape}")
-    if len(pieces) > 1 and theta.size <= CHUNK:
+    size = sum(p.size for p in pieces)
+    if (size != theta.size or cache.shape != theta.shape
+            or any(isinstance(p, np.ndarray) and p.ndim != 1 for p in pieces)):
+        raise ValueError(f"gradient of {size} elements in flat pieces and cache shape "
+                         f"{cache.shape} must match the parameters' shape {theta.shape}")
+    if theta.size <= CHUNK:
         # The whole gradient fits in CHUNK: formed, it is one flat piece.
         # Walking its pieces instead (eight, when measured) cost toy-train
         # 5 % of its train_samples_per_s (medians of ten runs, one BLAS

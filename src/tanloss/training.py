@@ -7,9 +7,10 @@ Epoch shuffling is reseeded as shuffle_seed + epoch, so a run resumed from a
 checkpoint at epoch k replays epochs k+1..N exactly as a straight run would.
 
 Memory: the parameters and the RMSProp cache are one flat buffer each.  A
-batch's gradient is what ``backward`` returns, a small dense buffer and the
-factors of the large weight gradients, which ``rmsprop_step`` forms a row
-panel at a time; it is freed after the step.  Every checkpoint is written straight
+batch's gradient is the pieces ``backward`` returns: small flat arrays, the
+present-token columns of the gru1.W gradient and the factors of the other
+large weight gradients, which ``rmsprop_step`` forms a row panel at a time;
+it is freed after the step.  Every checkpoint is written straight
 from the live buffers, and no copy of the best state is kept: when updates
 followed the best validation, the best checkpoint is read back from
 ``ckpt_best.bin``.  Each epoch's log record is appended to
@@ -175,7 +176,7 @@ def _run_epochs(config: TrainConfig, split: DatasetSplit, vocabs, params: ModelP
             # next batch's forward allocates.
             del trace
             try:
-                rmsprop_step(params, grads, opt)
+                rmsprop_step(params, grads.pieces, opt)
             except ValueError as exc:
                 # Raised before any parameter moves: name where it happened.
                 raise ValueError(f"epoch {epoch}, batch {number}: {exc}") from None
@@ -283,9 +284,8 @@ def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
         return total_loss(verb_pred, batch.verb_labels, state_pred, batch.state_labels)
 
     verb_pred, state_pred, trace = forward(params, batch)
-    grads = params.like(np.empty_like(params.data))
-    backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb_pred),
-             tangent_loss_grad(batch.state_labels, state_pred), out=grads)
+    grads = backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb_pred),
+                     tangent_loss_grad(batch.state_labels, state_pred))
 
     theta = params.data
     worst = 0.0
@@ -297,7 +297,7 @@ def gradient_check(sizes: ModelSizes, seed: int, n_coords: int = 100,
         down = objective()
         theta[coord] = original
         fd = (up - down) / (2.0 * step)
-        analytic = grads.data[coord]
+        analytic = grads.formed.data[coord]
         rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
         worst = max(worst, rel)
     return worst

@@ -254,7 +254,7 @@ def test_c10_rmsprop_first_step():
     state = RmsPropState.fresh(params)
     grads = params.like(np.zeros_like(params.data))
     grads.gru1.b_z[:] = 1.0
-    rmsprop_step(params, grads.data, state)
+    rmsprop_step(params, [grads.data], state)
     oracle = float(mp.mpf("1e-4") / (mp.sqrt(mp.mpf("0.1")) + mp.mpf("1e-8")))
     assert abs(abs(params.gru1.b_z[0]) - oracle) < 1e-12
     print(f"criterion 10: first-step magnitude {abs(params.gru1.b_z[0]):.12e}")

@@ -181,14 +181,15 @@ class TestEvaluate:
             assert got.tolist() == want
 
     @pytest.mark.parametrize("mode", ["subset", "symmetric"])
-    def test_flags_match_per_row_functions(self, mode):
+    def test_flags_match_per_row_functions(self, mode, monkeypatch):
         params = init_params(TOY, seed=4)
         rng = np.random.default_rng(2)
         samples = [Sample(tokens=rng.integers(0, 7, size=rng.integers(1, 7)).tolist(),
                           verb_label=(rng.random(3) < 0.4).astype(float),
                           state_label=(rng.random(3) < 0.4).astype(float))
                    for _ in range(150)]
-        report = evaluate(params, samples, pad_index=7, threshold=0.45, mode=mode, batch_size=32)
+        monkeypatch.setattr(evaluation, "INFERENCE_BATCH", 32)
+        report = evaluate(params, samples, pad_index=7, threshold=0.45, mode=mode)
         want = []
         for sample in samples:
             verb, state, _ = forward(params, pad_batch([sample], pad_index=7))
@@ -212,7 +213,7 @@ class TestEvaluate:
 
 
 class TestInferenceBatch:
-    def test_outputs_flags_and_validation_error_do_not_depend_on_the_batch(self):
+    def test_outputs_flags_and_validation_error_do_not_depend_on_the_batch(self, monkeypatch):
         # More samples than one inference batch, of lengths 3 to 8.
         samples, (text_vocab, _, _) = generate_synthetic_corpus(
             SyntheticConfig(count=2 * INFERENCE_BATCH + 17), seed=4)
@@ -232,13 +233,13 @@ class TestInferenceBatch:
         assert validation_error(params, samples, pad) == pytest.approx(error_alone, rel=0,
                                                                        abs=1e-12)
         for size in (3, 64, INFERENCE_BATCH):
-            _, (verb, state) = predictions(params, samples, pad, batch_size=size)
+            monkeypatch.setattr(evaluation, "INFERENCE_BATCH", size)
+            _, (verb, state) = predictions(params, samples, pad)
             np.testing.assert_allclose(verb, verb_alone, rtol=0, atol=1e-12)
             np.testing.assert_allclose(state, state_alone, rtol=0, atol=1e-12)
             assert batch_error(labels, (verb, state)) == pytest.approx(error_alone, rel=0,
                                                                        abs=1e-12)
-            assert evaluate(params, samples, pad, batch_size=size).per_sample_flags \
-                == flags_alone
+            assert evaluate(params, samples, pad).per_sample_flags == flags_alone
 
     def test_long_sentences_run_in_chunks_of_at_most_inference_rows_tokens(self, monkeypatch):
         samples, (text_vocab, _, _) = generate_synthetic_corpus(

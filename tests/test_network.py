@@ -91,9 +91,8 @@ class TestInit:
     def test_every_bias_is_zero_whatever_the_buffer_held(self, monkeypatch):
         # A buffer full of NaN in place of the fresh one: init must write
         # every element, the biases too.
-        new = ModelParams.new.__func__
         monkeypatch.setattr(ModelParams, "new", classmethod(
-            lambda cls, sizes, alloc=None: new(cls, sizes, lambda n: np.full(n, np.nan))))
+            lambda cls, sizes: cls(np.full(network._count(sizes), np.nan), sizes)))
         params = init_params(self.BLOCKS, seed=2)
         biases = {name: arr for name, arr in params.flat().items() if arr.ndim == 1}
         assert len(biases) == 2 * 3 + 2 * 2
@@ -153,6 +152,12 @@ class TestFusedLayout:
                 assert all(v.base is views[0].base for v in views)
 
 
+def formed_in_nan(params, grads):
+    """The gradient's pieces formed into a buffer of NaN, so that an element
+    they fail to write stays NaN."""
+    return params.like(optim.form_gradient(grads.pieces, np.full_like(params.data, np.nan)))
+
+
 class TestFlatBuffer:
     def test_constructor_rejects_a_buffer_of_the_wrong_length_or_dtype(self):
         data = init_params(TOY, seed=3).data
@@ -175,19 +180,7 @@ class TestFlatBuffer:
         assert views[0].base.size == params.data.size
         assert all(v.base is views[0].base for v in views)
 
-    def test_backward_fills_the_given_buffer(self):
-        params = init_params(TOY, seed=2)
-        batch = make_batch(TOY, [3, 5, 1])
-        verb, state, trace = forward(params, batch)
-        args = (params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
-                tangent_loss_grad(batch.state_labels, state))
-        out = params.like(np.full_like(params.data, np.nan))
-        grads = backward(*args, out=out)
-        assert all(v.base is out.data for v in grads.values())
-        fresh = backward(*args)
-        assert out.data.tobytes() == np.concatenate([g.ravel() for g in fresh.values()]).tobytes()
-
-    def test_gradient_maps_every_name_and_out_holds_its_arrays(self, monkeypatch):
+    def test_gradient_maps_every_name_to_its_formed_arrays(self, monkeypatch):
         # Chunks of 2**14 elements put each product's rows in several panels.
         monkeypatch.setattr(optim, "CHUNK", 1 << 14)
         params = init_params(SPLIT, seed=2)
@@ -197,33 +190,32 @@ class TestFlatBuffer:
                 tangent_loss_grad(batch.state_labels, state))
         grads = backward(*args)
         assert list(grads) == list(PARAM_NAMES) and len(grads) == len(PARAM_NAMES)
-        dense = [p for p in grads.pieces if isinstance(p, np.ndarray)]
-        # gru1.W as columns, five GRU and two head W1 products, and the dense
-        # runs between them: the biases and the heads' W2 and b2.
+        # gru1.W as columns, five GRU and two head W1 products, and the
+        # flat arrays between them: the biases and the heads' W2.
         assert [type(p).__name__ for p in grads.pieces] == (
-            ["Columns"] + ["Product"] * 2 + ["ndarray"] + ["Product"] * 3
-            + ["ndarray", "Product"] * 2 + ["ndarray"])
+            ["Columns"] + ["Product"] * 2 + ["ndarray"] + ["Product"] * 3 + ["ndarray"]
+            + (["Product"] + ["ndarray"] * 3) * 2)
+        flat = [p for p in grads.pieces if isinstance(p, np.ndarray)]
+        assert all(p.ndim == 1 for p in flat)
         head = SPLIT.head_hidden
-        assert sum(p.size for p in dense) == (3 * (SPLIT.gru1_hidden + SPLIT.gru2_hidden)
-                                              + (head + 1) * (SPLIT.verb_dim + SPLIT.state_dim)
-                                              + 2 * head)
-        assert all(p.base is dense[0].base for p in dense)
-        out = params.like(np.full_like(params.data, np.nan))
-        (piece,) = backward(*args, out=out).pieces
-        assert piece is out.data
-        for name, arr in out.flat().items():
-            assert grads[name].tobytes() == arr.tobytes(), name
-        # Read once, the gradient is formed whole: one flat buffer.
-        (piece,) = grads.pieces
-        assert piece.shape == params.data.shape
+        assert sum(p.size for p in flat) == (3 * (SPLIT.gru1_hidden + SPLIT.gru2_hidden)
+                                             + (head + 1) * (SPLIT.verb_dim + SPLIT.state_dim)
+                                             + 2 * head)
+        assert all(grads[name].base is grads.formed.data for name in PARAM_NAMES)
+        # The pieces of a second backward, formed into a buffer of NaN, write
+        # every element, with the same bits.
+        again = optim.form_gradient(backward(*args).pieces, np.full_like(params.data, np.nan))
+        assert again.tobytes() == grads.formed.data.tobytes()
+        assert grads.formed.data.tobytes() == np.concatenate(
+            [g.ravel() for g in grads.values()]).tobytes()
 
     def test_one_step_batch_has_zero_recurrent_gradients(self):
         params = init_params(TOY, seed=2)
         batch = make_batch(TOY, [1, 1], width=4)
         verb, state, trace = forward(params, batch)
-        out = params.like(np.full_like(params.data, np.nan))
-        backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
-                 tangent_loss_grad(batch.state_labels, state), out=out)
+        out = formed_in_nan(params, backward(params, batch, trace,
+                                             tangent_loss_grad(batch.verb_labels, verb),
+                                             tangent_loss_grad(batch.state_labels, state)))
         for layer in (out.gru1, out.gru2):
             assert np.all(layer.U == 0) and np.any(layer.b != 0)
         assert np.all(np.isfinite(out.data))
@@ -517,12 +509,9 @@ class TestBackward:
                   *(a for layer in (trace.gru1, trace.gru2) for a in vars(layer).values())]
         before = [a.tobytes() for a in arrays]
         blocks = list(trace.blocks)
-        runs = []
-        for fill in (0.0, np.nan):
-            grads = params.like(np.full_like(params.data, fill))
-            backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
-                     tangent_loss_grad(batch.state_labels, state), out=grads)
-            runs.append(grads.data.tobytes())
+        runs = [formed_in_nan(params, backward(
+            params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
+            tangent_loss_grad(batch.state_labels, state))).data.tobytes() for _ in range(2)]
         assert runs[0] == runs[1]
         assert [a.tobytes() for a in arrays] == before and trace.blocks == blocks
 
@@ -544,9 +533,9 @@ class TestBackward:
 
         monkeypatch.setattr(network, "_layer_backward", keep_deltas)
         verb, state, trace = forward(params, batch)
-        grads = params.like(np.full_like(params.data, np.nan))
-        backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
-                 tangent_loss_grad(batch.state_labels, state), out=grads)
+        grads = formed_in_nan(params, backward(params, batch, trace,
+                                               tangent_loss_grad(batch.verb_labels, verb),
+                                               tangent_loss_grad(batch.state_labels, state)))
         d1 = deltas[1]    # layer 2 is swept first
         for token in range(sizes.input_dim):
             column = grads.gru1.W[:, token]
@@ -578,8 +567,7 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < params.gru1.W.nbytes
         # The same gradient as a flat buffer: the absent columns are zero.
-        out = params.like(np.full_like(params.data, np.nan))
-        backward(*args, out=out)
+        out = formed_in_nan(params, grads)
         for name, arr in out.flat().items():
             assert grads[name].tobytes() == arr.tobytes(), name
         assert np.count_nonzero(np.any(out.gru1.W != 0, axis=0)) == 7

@@ -33,7 +33,7 @@ def test_zero_gradient_leaves_params_and_decays_cache():
     params, state = fresh()
     state.cache.gru1.W_z[:] = 1.0
     before = {k: v.copy() for k, v in params.flat().items()}
-    rmsprop_step(params, zeros(params).data, state)
+    rmsprop_step(params, [zeros(params).data], state)
     for name, arr in params.flat().items():
         assert np.array_equal(arr, before[name])
     assert np.allclose(state.cache.gru1.W_z, 0.9)
@@ -45,7 +45,7 @@ def test_first_step_magnitude_matches_hand_evaluation():
     params.gru1.b_z[:] = 0.0
     grads = zeros(params)
     grads.gru1.b_z[:] = 1.0
-    rmsprop_step(params, grads.data, state)
+    rmsprop_step(params, [grads.data], state)
     expected = float(mp.mpf("1e-4") / (mp.sqrt(mp.mpf("0.1")) + mp.mpf("1e-8")))
     assert abs(abs(params.gru1.b_z[0]) - expected) < 1e-12
     assert state.cache.gru1.b_z[0] == pytest.approx(0.1)
@@ -55,9 +55,9 @@ def test_second_identical_step_is_smaller():
     params, state = fresh()
     grads = zeros(params)
     grads.gru1.b_z[:] = 1.0
-    rmsprop_step(params, grads.data, state)
+    rmsprop_step(params, [grads.data], state)
     first = abs(params.gru1.b_z[0])
-    rmsprop_step(params, grads.data, state)
+    rmsprop_step(params, [grads.data], state)
     second = abs(params.gru1.b_z[0] + first)  # net movement of the second step
     assert second < first
     assert state.cache.gru1.b_z[0] == pytest.approx(0.19)
@@ -70,7 +70,7 @@ def test_update_opposes_gradient_and_respects_first_step_bound(magnitude, sign):
     g = sign * magnitude
     grads = zeros(params)
     grads.verb_head.b2[:] = g
-    rmsprop_step(params, grads.data, state)
+    rmsprop_step(params, [grads.data], state)
     delta = params.verb_head.b2[0]
     assert np.sign(delta) == -np.sign(g)
     assert abs(delta) <= state.lr / np.sqrt(1.0 - state.rho)
@@ -81,7 +81,7 @@ def test_deterministic():
     for _ in range(2):
         params, state = fresh()
         grads = np.full_like(params.data, 0.3)
-        rmsprop_step(params, grads, state)
+        rmsprop_step(params, [grads], state)
         results.append({k: v.copy() for k, v in params.flat().items()})
     for name in results[0]:
         assert np.array_equal(results[0][name], results[1][name])
@@ -92,16 +92,16 @@ def test_non_finite_gradient_names_coordinate():
     grads = zeros(params)
     grads.gru2.U_h[1, 0] = np.nan
     with pytest.raises(ValueError, match=r"gru2\.U_h\[1, 0\]"):
-        rmsprop_step(params, grads.data, state)
+        rmsprop_step(params, [grads.data], state)
 
 
 def test_shape_mismatch_rejected():
     params, state = fresh()
     data = zeros(params).data
-    # Too short, and of the right size but the wrong shape.
+    # Too short, and of the right size but not flat.
     for grads in (data[:-1], data.reshape(-1, 1), data.reshape(1, -1)):
         with pytest.raises(ValueError, match="shape"):
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, [grads], state)
 
 
 @pytest.mark.parametrize("block", [7, optim.BLOCK])
@@ -120,7 +120,7 @@ def test_flat_step_equals_the_per_array_formula_bit_for_bit(block, monkeypatch):
         cache = state.rho * state.cache.flat()[name] + (1.0 - state.rho) * (g * g)
         expected[name] = (theta - g / (np.sqrt(cache) + state.eps) * state.lr, cache)
     grads = np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
-    rmsprop_step(params, grads, state)
+    rmsprop_step(params, [grads], state)
     for name, (theta, cache) in expected.items():
         assert params.flat()[name].tobytes() == theta.tobytes(), name
         assert state.cache.flat()[name].tobytes() == cache.tobytes(), name
@@ -137,7 +137,7 @@ def test_non_finite_gradient_in_any_array_is_named_and_moves_nothing(name):
     view[coord] = np.inf if rng.random() < 0.5 else np.nan
     before = params.data.copy(), state.cache.data.copy()
     with pytest.raises(ValueError, match=re.escape(f"{name}{list(coord)}")):
-        rmsprop_step(params, grads.data, state)
+        rmsprop_step(params, [grads.data], state)
     assert params.data.tobytes() == before[0].tobytes()
     assert state.cache.data.tobytes() == before[1].tobytes()
 
@@ -169,10 +169,10 @@ def columns(grads):
     return [p for p in grads.pieces if isinstance(p, optim.Columns)]
 
 
-def batch_gradient(params, batch, out=None):
+def batch_gradient(params, batch):
     verb, state, trace = forward(params, batch)
     return backward(params, batch, trace, tangent_loss_grad(batch.verb_labels, verb),
-                    tangent_loss_grad(batch.state_labels, state), out=out)
+                    tangent_loss_grad(batch.state_labels, state))
 
 
 class TestFactoredGradient:
@@ -185,17 +185,32 @@ class TestFactoredGradient:
             rng = np.random.default_rng(3)
             params = init_params(sizes, seed=4)
             state = RmsPropState.fresh(params)
-            full = params.like(np.empty_like(params.data))
             for _ in range(4):
-                batch = random_batch(sizes, rng, rng.integers(1, 9, size=6))
+                grads = batch_gradient(params, random_batch(sizes, rng,
+                                                            rng.integers(1, 9, size=6)))
                 if formed:
-                    batch_gradient(params, batch, out=full)
-                    rmsprop_step(params, full.data, state)
+                    rmsprop_step(params, [grads.formed.data], state)
                 else:
-                    grads = batch_gradient(params, batch)
                     assert len(products(grads)) == 7 and len(columns(grads)) == 1
-                    assert len(grads.pieces) == 12
-                    rmsprop_step(params, grads, state)
+                    assert len(grads.pieces) == 16
+                    rmsprop_step(params, grads.pieces, state)
+            runs.append((params.data.tobytes(), state.cache.data.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("sizes", FACTORED_SIZES, ids=["toy", "gru300x400"])
+    def test_reading_the_gradient_leaves_its_step_as_it_was(self, sizes):
+        runs = []
+        for read in (False, True):
+            params = init_params(sizes, seed=4)
+            state = RmsPropState.fresh(params)
+            grads = batch_gradient(params, random_batch(sizes, np.random.default_rng(3),
+                                                        [4, 7, 2, 5]))
+            pieces = list(grads.pieces)
+            if read:
+                assert all(np.all(np.isfinite(grads[name])) for name in PARAM_NAMES)
+            assert len(grads.pieces) == 16
+            assert all(now is was for now, was in zip(grads.pieces, pieces))
+            rmsprop_step(params, grads.pieces, state)
             runs.append((params.data.tobytes(), state.cache.data.tobytes()))
         assert runs[0] == runs[1]
 
@@ -231,10 +246,10 @@ class TestFactoredGradient:
         with np.errstate(over="ignore", invalid="ignore"):
             optim.form_gradient(grads.pieces, flat)
         with pytest.raises(ValueError) as on_flat:
-            rmsprop_step(params, flat, state)
+            rmsprop_step(params, [flat], state)
         before = params.data.copy(), state.cache.data.copy()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as factored:
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, grads.pieces, state)
         assert str(factored.value) == str(on_flat.value)
         array = ["gru1.U", "gru1.U", "gru2.W", "gru2.U", "gru2.U"][product]
         assert re.fullmatch(rf"non-finite gradient at {re.escape(array)}_[zrh]\[\d+, \d+\]",
@@ -262,7 +277,7 @@ class TestFactoredGradient:
         before = params.data.copy(), state.cache.data.copy()
         with pytest.raises(ValueError, match=re.escape(
                 f"gru1.W_{'zrh'[row // n]}[{row % n}, {int(cols.index[j])}]")):
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, grads.pieces, state)
         assert params.data.tobytes() == before[0].tobytes()
         assert state.cache.data.tobytes() == before[1].tobytes()
 
@@ -278,7 +293,7 @@ class TestFactoredGradient:
         optim.form_gradient(grads.pieces, flat)
         assert np.all(np.isfinite(flat)) and np.abs(flat).max() > 1e290
         results = []
-        for g in (flat, grads):
+        for g in ([flat], grads.pieces):
             theta, state = params.like(params.data.copy()), RmsPropState.fresh(params)
             with np.errstate(over="ignore"):
                 rmsprop_step(theta, g, state)
@@ -300,7 +315,7 @@ class TestFactoredGradient:
         tracemalloc.start()
         try:
             with np.errstate(over="ignore"):
-                rmsprop_step(params, grads, state)
+                rmsprop_step(params, grads.pieces, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,7 +326,7 @@ class TestFactoredGradient:
         grads = batch_gradient(params, random_batch(SIZES, np.random.default_rng(0), [3, 2]))
         grads.pieces[-1] = grads.pieces[-1][:-1]
         with pytest.raises(ValueError, match="shape"):
-            rmsprop_step(params, grads, state)
+            rmsprop_step(params, grads.pieces, state)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanloss.corpus import Sample, pad_batch
+from tanloss import evaluation
 from tanloss.evaluation import evaluate
 from tanloss.losses import batch_error, tangent_loss, tangent_loss_grad
 from tanloss.network import (Checkpoint, ModelSizes, backward, forward, init_params,
@@ -87,7 +88,9 @@ def test_program_agrees_with_the_reference(tmp_path_factory, case):
     assert batch_error((batch.verb_labels, batch.state_labels), (verb, state)) \
         == pytest.approx(want_error, rel=1e-8, abs=1e-12)
 
-    flags = evaluate(params, samples, pad_index=0, mode="subset", batch_size=3).per_sample_flags
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "INFERENCE_BATCH", 3)
+        flags = evaluate(params, samples, pad_index=0, mode="subset").per_sample_flags
     for i, sample in enumerate(samples):
         # Outputs within rounding of the threshold may fall either side of it.
         if np.any(np.abs(np.concatenate([ref_verb[i], ref_state[i]]) - 0.5) < 1e-9):

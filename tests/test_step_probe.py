@@ -31,7 +31,7 @@ def test_probe_times_each_phase_at_the_given_sizes(step_probe):
         assert r["vocab"] == vocab
         assert r["parameters"] == ModelParams.new(sizes).data.size
         assert r["gru1_W"] == 3 * 6 * vocab
-        # The dense part (the biases and the heads' W2 and b2), then the
+        # The flat arrays (the biases and the heads' W2), then the
         # factors and the present columns of gru1.W (at least one).
         dense = 3 * 6 + 3 * 4 + (3 + 8 * 3 + 8) + (3 + 6 * 3 + 6)
         assert r["gradient_bytes"] > 8 * (dense + 3 * 6)
