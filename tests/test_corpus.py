@@ -80,6 +80,39 @@ class TestVocabulary:
         assert rebuilt.unk_index == vocab.unk_index
         assert rebuilt.pad_index == vocab.pad_index
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
+                                           "\x1d", "\x1e"])
+    def test_only_newline_ends_a_token(self, tmp_path, separator):
+        # str.splitlines() would also break at these characters.
+        save_vocab(Vocabulary.from_tokens(["x", f"a{separator}b"]), tmp_path / "v.txt")
+        assert load_vocab(tmp_path / "v.txt").tokens == ["x", f"a{separator}b", "UNK"]
+
+    @pytest.mark.parametrize("token", ["a\nb", "a\rb", "a\r\nb", "\n"])
+    def test_save_refuses_a_token_holding_a_line_break(self, tmp_path, token):
+        with pytest.raises(DataError) as err:
+            save_vocab(Vocabulary.from_tokens(["x", token]), tmp_path / "v.txt")
+        assert str(err.value) == (f"token {token!r} holds a line break, "
+                                  "which a vocab file cannot store")
+        assert not (tmp_path / "v.txt").exists()
+
+    def test_crlf_and_cr_files_load_as_newline_files(self, tmp_path):
+        for ending in (b"\r\n", b"\r"):
+            (tmp_path / "v.txt").write_bytes(ending.join([b"bake", b"mix", b""]))
+            assert load_vocab(tmp_path / "v.txt").tokens == ["bake", "mix", "UNK"]
+        (tmp_path / "v.txt").write_bytes(b"bake\r\n\r\nmix\r\n")
+        with pytest.raises(DataError, match="blank line at line 2"):
+            load_vocab(tmp_path / "v.txt")
+
+    @given(st.lists(st.text(min_size=1).filter(lambda t: "\n" not in t and "\r" not in t),
+                    min_size=1, max_size=8, unique=True), st.booleans())
+    def test_saved_vocab_loads_as_the_same_tokens(self, tmp_path_factory, tokens, with_pad):
+        path = tmp_path_factory.mktemp("vocab") / "v.txt"
+        vocab = Vocabulary.from_tokens(tokens, with_pad=with_pad)
+        save_vocab(vocab, path)
+        loaded = load_vocab(path, with_pad=with_pad)
+        assert loaded.tokens == vocab.tokens
+        assert (loaded.unk_index, loaded.pad_index) == (vocab.unk_index, vocab.pad_index)
+
 
 class TestOneHot:
     def test_batch_rows_sum_to_true_length(self):
@@ -89,6 +122,9 @@ class TestOneHot:
         for r in range(len(batch)):
             assert np.count_nonzero(batch.token_matrix[r] != text_vocab.pad_index) == \
                 batch.lengths[r]
+
+
+GOOD_RECORD = '{"tokens":["bake"],"verbs":["bake"],"states":["shape"]}'
 
 
 def make_vocabs(tmp_path):
@@ -142,6 +178,70 @@ class TestIngest:
         (tmp_path / "d.jsonl").write_text('{"tokens":[],"verbs":["bake"],"states":["shape"]}\n')
         with pytest.raises(DataError, match="empty tokens"):
             ingest_jsonl(tmp_path / "d.jsonl", *vocabs)
+
+    # One line per kind of fault, after a valid record, an empty line, a
+    # blank one, a tab-only one and CRLF endings, so the fault sits on line 5.
+    @pytest.mark.parametrize("line, message", [
+        ("not json", "not valid JSON (Expecting value)"),
+        ('{"tokens":["bake"]', "not valid JSON (Expecting ',' delimiter)"),
+        (GOOD_RECORD + ' {"tokens":["bake"]}', "not valid JSON (Extra data)"),
+        (GOOD_RECORD + " x", "not valid JSON (Extra data)"),
+        ("[" * 100000, "JSON nested too deeply"),
+        ('["tokens", "verbs", "states"]', "record is not an object"),
+        ("null", "record is not an object"),
+        ('{"tokens":["bake"],"verbs":["bake"]}', "missing field 'states'"),
+        ('{"tokens":["bake"],"verbs":"bake","states":["shape"]}',
+         "field 'verbs' must be a list of strings"),
+        ('{"tokens":["bake"],"verbs":["bake"],"states":{"shape":1}}',
+         "field 'states' must be a list of strings"),
+        ('{"tokens":["bake",3],"verbs":["bake"],"states":["shape"]}',
+         "field 'tokens' must be a list of strings"),
+        ('{"tokens":["bake"],"verbs":[["bake"]],"states":["shape"]}',
+         "field 'verbs' must be a list of strings"),
+        ('{"tokens":[],"verbs":["bake"],"states":["shape"]}', "empty tokens field"),
+        # Two faults: the first field in tokens/verbs/states order is named,
+        # whatever the record's key order, and the fields come before
+        # the empty-tokens check.
+        ('{"states":"shape","verbs":[null],"tokens":[1]}',
+         "field 'tokens' must be a list of strings"),
+        ('{"states":["shape"],"verbs":[null],"tokens":[]}',
+         "field 'verbs' must be a list of strings"),
+        ('{"verbs":[],"tokens":[]}', "missing field 'states'"),
+    ])
+    def test_malformed_line_names_its_fault_and_line(self, tmp_path, line, message):
+        vocabs = make_vocabs(tmp_path)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(f"{GOOD_RECORD}\r\n\r\n   \r\n\t\n{line}\r\n{GOOD_RECORD}\n".encode())
+        with pytest.raises(DataError) as err:
+            ingest_jsonl(path, *vocabs)
+        assert str(err.value) == f"{path}: line 5: {message}"
+
+    def test_first_line_with_a_byte_order_mark(self, tmp_path):
+        vocabs = make_vocabs(tmp_path)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + GOOD_RECORD.encode() + b"\n")
+        with pytest.raises(DataError) as err:
+            ingest_jsonl(path, *vocabs)
+        assert str(err.value) == (f"{path}: line 1: not valid JSON "
+                                  "(Unexpected UTF-8 BOM (decode using utf-8-sig))")
+
+    def test_blank_and_crlf_lines_are_skipped(self, tmp_path):
+        vocabs = make_vocabs(tmp_path)
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(f"\r\n {GOOD_RECORD} \r\n\t\r\n\n{GOOD_RECORD}".encode())
+        samples = ingest_jsonl(path, *vocabs)
+        assert [s.tokens for s in samples] == [[0], [0]]
+        assert [s.verb_label.tolist() for s in samples] == [[1.0, 0.0, 0.0]] * 2
+
+    def test_label_arrays_are_rows_of_one_matrix_per_file(self, tmp_path):
+        samples, vocabs = generate_synthetic_corpus(SyntheticConfig(count=6), seed=3)
+        write_jsonl(samples, tmp_path / "d.jsonl", *vocabs)
+        loaded = ingest_jsonl(tmp_path / "d.jsonl", *vocabs)
+        for field in ("verb_label", "state_label"):
+            matrix = getattr(loaded[0], field).base
+            assert matrix.shape == (6, len(getattr(samples[0], field)))
+            assert all(getattr(s, field).base is matrix for s in loaded)
+            assert matrix.tobytes() == np.stack([getattr(s, field) for s in samples]).tobytes()
 
     def test_round_trip_through_jsonl(self, tmp_path):
         samples, vocabs = generate_synthetic_corpus(SyntheticConfig(count=25), seed=9)
@@ -242,6 +342,32 @@ class TestBatches:
             assert len(batch) == 1 or sum(batch) <= max_tokens
             if after is not None:
                 assert len(batch) == batch_size or sum(batch) + after[0] > max_tokens
+
+
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=20), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 60), st.integers(0, 2**32 - 1))
+    def test_pad_batch_matches_a_per_row_reference(self, lengths, verb_width, state_width,
+                                                   pad_index, seed):
+        rng = np.random.default_rng(seed)
+        tokens = [rng.integers(0, 60, size=n).tolist() for n in lengths]
+        verbs = rng.random((len(lengths), verb_width))
+        states = (rng.random((len(lengths), state_width)) < 0.5).astype(np.float64)
+        token_ref = np.full((len(lengths), max(lengths)), pad_index, dtype=np.int64)
+        verb_ref, state_ref = np.empty_like(verbs), np.empty_like(states)
+        for r, row in enumerate(tokens):
+            token_ref[r, :len(row)] = row
+            verb_ref[r], state_ref[r] = verbs[r], states[r]
+        # Label rows as separate arrays and as the rows of one matrix,
+        # which is what ingest_jsonl returns.
+        for verb_rows, state_rows in (([v.copy() for v in verbs], [s.copy() for s in states]),
+                                      (list(verbs), list(states))):
+            batch = pad_batch([Sample(t, v, s) for t, v, s in zip(tokens, verb_rows, state_rows)],
+                              pad_index)
+            for got, want in ((batch.token_matrix, token_ref),
+                              (batch.lengths, np.array(lengths, dtype=np.int64)),
+                              (batch.verb_labels, verb_ref), (batch.state_labels, state_ref)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSyntheticCorpus:
